@@ -17,9 +17,9 @@ The package instruments the whole store/translate/execute pipeline:
 * :class:`RequestLog` — bounded non-blocking wide-event sink
   (:mod:`repro.obs.events`),
 * :class:`OpsServer` / :func:`to_prometheus` / :func:`parse_prometheus`
-  — the live ``/metrics`` + ``/snapshot`` + ``/healthz`` endpoint
-  (:mod:`repro.obs.ops`), with ``python -m repro.obs.top`` as the
-  matching terminal dashboard.
+  — the live ``/metrics`` + ``/snapshot`` + ``/healthz`` documents
+  (:mod:`repro.obs.ops`, served by the store's asyncio HTTP server),
+  with ``python -m repro.obs.top`` as the matching terminal dashboard.
 
 Quickstart::
 

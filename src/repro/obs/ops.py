@@ -1,4 +1,4 @@
-"""Live ops surface: Prometheus text exposition + an embedded endpoint.
+"""Live ops surface: Prometheus text exposition + the ops documents.
 
 :func:`to_prometheus` renders a :class:`~repro.obs.metrics.MetricsRegistry`
 as Prometheus text exposition format 0.0.4 — counters as ``_total``,
@@ -12,8 +12,7 @@ parser of the exposition format used by the tests and the CI smoke job
 to assert the endpoint serves well-formed output (no scrape stack in
 this zero-dependency repo, so we check our own homework).
 
-:class:`OpsServer` mounts three read-only endpoints on a daemon
-``ThreadingHTTPServer``:
+:class:`OpsServer` holds the documents of three read-only endpoints:
 
 * ``GET /metrics``  — Prometheus text (``text/plain; version=0.0.4``),
 * ``GET /snapshot`` — one JSON document: lifetime snapshot, windowed
@@ -21,19 +20,17 @@ this zero-dependency repo, so we check our own homework).
 * ``GET /healthz``  — liveness JSON; HTTP 200 when ``status == "ok"``,
   503 otherwise, so a load balancer can act on the status code alone.
 
-The server binds 127.0.0.1 on an ephemeral port by default and runs
-entirely on stdlib ``http.server`` — no dependency, no framework.
+It owns no socket: ``ShardedStore.serve_ops()`` mounts it as a
+listener of the store's asyncio HTTP server
+(:class:`repro.serve.gateway.HttpServer`, the gateway's loop thread),
+on 127.0.0.1 and an ephemeral port of its own by default.
 """
 
 from __future__ import annotations
 
-import http.server
-import json
 import re
-import threading
 import time
 
-from repro.errors import error_payload, http_status
 from repro.obs.events import RequestLog
 from repro.obs.metrics import MetricsRegistry
 
@@ -203,8 +200,8 @@ def parse_prometheus(text: str) -> dict:
 
 
 class OpsServer:
-    """An embedded HTTP ops endpoint over a registry (+ optional health,
-    snapshot extras, and request-log tail).
+    """The ops documents over a registry (+ optional health, snapshot
+    extras, and request-log tail), and the listener serving them.
 
     :param metrics: the registry behind ``/metrics`` and ``/snapshot``.
     :param health_fn: zero-arg callable returning a JSON-able dict with
@@ -212,6 +209,9 @@ class OpsServer:
     :param snapshot_fn: zero-arg callable returning extra JSON-able
         state merged into ``/snapshot`` under ``"server"``.
     :param request_log: recent wide events served in ``/snapshot``.
+
+    :attr:`listener` is set by whoever serves the documents (see the
+    module docstring); :attr:`url` and :meth:`stop` refer to it.
     """
 
     def __init__(
@@ -220,8 +220,6 @@ class OpsServer:
         health_fn=None,
         snapshot_fn=None,
         request_log: RequestLog | None = None,
-        host: str = "127.0.0.1",
-        port: int = 0,
         windows: tuple[float, ...] = (60.0,),
         tail_events: int = 50,
     ) -> None:
@@ -231,77 +229,12 @@ class OpsServer:
         self.request_log = request_log
         self.windows = windows
         self.tail_events = tail_events
-        ops = self
-
-        class _Handler(http.server.BaseHTTPRequestHandler):
-            # The ops endpoint must not spam the serving process's
-            # stderr on every scrape.
-            def log_message(self, fmt, *args):  # noqa: ARG002
-                return
-
-            def do_GET(self):  # noqa: N802 (http.server API)
-                try:
-                    ops._route(self)
-                except BrokenPipeError:
-                    pass
-
-        self._server = http.server.ThreadingHTTPServer((host, port), _Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="ops-endpoint",
-            daemon=True,
-        )
-        self._thread.start()
-
-    # -- request handling -----------------------------------------------------------
-
-    def _route(self, handler: http.server.BaseHTTPRequestHandler) -> None:
-        path = handler.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                body = to_prometheus(
-                    self.metrics, windows=self.windows
-                ).encode()
-                self._reply(
-                    handler, 200, body,
-                    "text/plain; version=0.0.4; charset=utf-8",
-                )
-            elif path == "/snapshot":
-                body = json.dumps(self.snapshot(), default=str).encode()
-                self._reply(handler, 200, body, "application/json")
-            elif path == "/healthz":
-                health = self.health()
-                status = 200 if health.get("status") == "ok" else 503
-                body = json.dumps(health, default=str).encode()
-                self._reply(handler, status, body, "application/json")
-            else:
-                body = json.dumps(
-                    {"error": "NotFound",
-                     "message": f"no route {path}",
-                     "status": 404}
-                ).encode()
-                self._reply(handler, 404, body, "application/json")
-        except BrokenPipeError:
-            raise
-        except Exception as error:
-            # Typed errors carry their own status via the shared
-            # repro.errors.HTTP_STATUS table (the gateway uses the
-            # same one); anything else is a plain 500.
-            body = json.dumps(error_payload(error), default=str).encode()
-            self._reply(
-                handler, http_status(error), body, "application/json"
-            )
-
-    @staticmethod
-    def _reply(handler, status: int, body: bytes, content_type: str) -> None:
-        handler.send_response(status)
-        handler.send_header("Content-Type", content_type)
-        handler.send_header("Content-Length", str(len(body)))
-        handler.end_headers()
-        handler.wfile.write(body)
+        self.listener = None
 
     # -- documents ------------------------------------------------------------------
+
+    def prometheus(self) -> str:
+        return to_prometheus(self.metrics, windows=self.windows)
 
     def health(self) -> dict:
         if self.health_fn is None:
@@ -339,17 +272,14 @@ class OpsServer:
 
     @property
     def port(self) -> int:
-        return self._server.server_address[1]
+        return self.listener.port
 
     @property
     def url(self) -> str:
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}"
+        return self.listener.url
 
     def stop(self) -> None:
-        self._server.shutdown()
-        self._thread.join(timeout=5.0)
-        self._server.server_close()
+        self.listener.stop()
 
     def __enter__(self) -> "OpsServer":
         return self

@@ -1,9 +1,9 @@
 """``repro.obs.top`` — a live per-shard view of a serving store.
 
-Polls an :class:`~repro.obs.ops.OpsServer`'s ``/snapshot`` endpoint and
-renders a ``top``-style table: per-shard qps / windowed p50 / p99 /
-pool occupancy / replica lag, plus request outcomes and health, updated
-in place.
+Polls the ``/snapshot`` of an :class:`~repro.obs.ops.OpsServer` (on the
+store's asyncio HTTP server) and renders a ``top``-style table:
+per-shard qps / windowed p50 / p99 / pool occupancy / replica lag, plus
+request outcomes and health, updated in place.
 
 Run it against a store started with ``ShardedStore.serve_ops()``::
 

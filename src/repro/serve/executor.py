@@ -3,14 +3,19 @@
 A :class:`QueryExecutor` owns a thread pool and one
 :class:`~repro.serve.pool.ConnectionPool` per shard.  A query arrives
 with its *targets* — ``{shard: [(global_doc_id, local_doc_id), ...]}``,
-computed by the shard map — and either
+computed by the shard map — and opens one :class:`ScatterStream`, the
+single scatter path, which owns admission, the deadline, the
+fail-fast/partial policy and outcome accounting.  It either
 
-* **prunes to one shard** (doc-scoped query: exactly one target shard),
+* **prunes to one shard** (doc-scoped :meth:`QueryExecutor.query`),
   running inline on the calling thread with no fan-out overhead, or
-* **scatters** one task per shard onto the worker pool and **gathers**
-  the partial answers, merging them into ``(doc_id, pre)`` pairs sorted
-  by global doc id then document order — the natural order key, since
-  ``pre`` *is* document order within one document.
+* **scatters** one task per shard onto the worker pool, whose futures
+  :meth:`QueryExecutor.query` **gathers** on the calling thread and
+  :meth:`QueryExecutor.stream` hands to the caller as they complete.
+
+Answers merge into ``(doc_id, pre)`` pairs sorted by global doc id then
+document order — the natural order key, since ``pre`` *is* document
+order within one document.
 
 Admission control and deadlines:
 
@@ -52,8 +57,8 @@ from concurrent.futures import (
     ThreadPoolExecutor,
     wait,
 )
-from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 
 from repro.errors import (
     DeadlineExceeded,
@@ -191,9 +196,8 @@ class QueryExecutor:
 
     # -- admission control --------------------------------------------------------
 
-    @contextmanager
-    def _admitted(self):
-        """One slot of the max-in-flight gate, or immediate shed."""
+    def _admit(self) -> None:
+        """Take one slot of the max-in-flight gate, or shed immediately."""
         if not self._gate.acquire(blocking=False):
             self.metrics.counter("serve.overloaded").inc()
             raise Overloaded(
@@ -203,11 +207,11 @@ class QueryExecutor:
                 limit=self.max_in_flight,
             )
         self.metrics.gauge("serve.in_flight").add(1)
-        try:
-            yield
-        finally:
-            self.metrics.gauge("serve.in_flight").add(-1)
-            self._gate.release()
+
+    def _release(self) -> None:
+        """Return the slot :meth:`_admit` took."""
+        self.metrics.gauge("serve.in_flight").add(-1)
+        self._gate.release()
 
     def _shard_histogram(self, shard: int):
         """``serve.shard{N}.query_seconds``, resolved once per shard."""
@@ -241,112 +245,87 @@ class QueryExecutor:
         return replicas[index], index
 
     def _query_shard(
-        self,
-        shard: int,
-        docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
-        read_from: str,
-        ctx: RequestContext | None = None,
-        breakdown: dict | None = None,
+        self, query: "ScatterStream", shard: int, docs: list[tuple[int, int]]
     ) -> _ShardAnswer:
-        """Run *xpath* over every targeted document of one shard.
+        """Run *query*'s XPath over every targeted document of one shard.
 
-        Routes to a read replica when asked (and one exists), falling
-        back to the primary if the replica is down or overloaded.
-
-        *ctx* is the request's trace context (adopted here, so this
-        shard's spans nest under the request root even on a pool
-        thread); *breakdown* — when the wide-event log is on — collects
-        this shard's entry of the per-shard fan-out record (latency,
-        replica choice, plan-cache warmth, lint verdict, outcome).
+        Routes to a read replica when the query asks (and one exists),
+        falling back to the primary if the replica is down or
+        overloaded.  Adopts the query's trace context, so this shard's
+        spans nest under its root even on a pool thread; when the
+        wide-event log is on, records this shard's entry of the
+        per-shard fan-out breakdown (latency, replica choice, plan-cache
+        warmth, lint verdict, outcome).
         """
         if not docs:
             return _ShardAnswer(rows=[])
-        with self.tracer.adopt(ctx):
-            with self.tracer.span(
-                "serve.shard", shard=shard, docs=len(docs)
-            ) as span:
-                return self._query_shard_traced(
-                    shard, docs, xpath, deadline_at, deadline_budget,
-                    read_from, span, breakdown,
-                )
-
-    def _query_shard_traced(
-        self,
-        shard: int,
-        docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
-        read_from: str,
-        span,
-        breakdown: dict | None,
-    ) -> _ShardAnswer:
         started = time.perf_counter()
         info: dict | None = None
-        if breakdown is not None:
+        if query.breakdown is not None:
             info = {"shard": shard, "docs": len(docs), "read_from": "primary"}
-            breakdown[shard] = info
-        try:
-            answer = self._route_shard_read(
-                shard, docs, xpath, deadline_at, deadline_budget,
-                read_from, info,
-            )
-        except XmlRelError as error:
-            elapsed = time.perf_counter() - started
-            self._shard_histogram(shard).observe(elapsed)
-            if info is not None:
-                info["elapsed_seconds"] = elapsed
-                info["outcome"] = "error"
-                info["error"] = f"{type(error).__name__}: {error}"
-            raise
+            query.breakdown[shard] = info
+
+        def run(pool, replica):
+            with (
+                self.tracer.span("serve.execute", shard=shard)
+                if replica is None
+                else self.tracer.span("serve.replica_read", replica=replica)
+            ):
+                return self._query_on_pool(pool, docs, query)
+
+        with self.tracer.adopt(query.ctx), self.tracer.span(
+            "serve.shard", shard=shard, docs=len(docs)
+        ) as span:
+            try:
+                rows, replica = self._routed(shard, query.route, run, info)
+            except XmlRelError as error:
+                elapsed = time.perf_counter() - started
+                self._shard_histogram(shard).observe(elapsed)
+                if info is not None:
+                    info["elapsed_seconds"] = elapsed
+                    info["outcome"] = "error"
+                    info["error"] = f"{type(error).__name__}: {error}"
+                raise
+            if span:
+                span.set(rows=len(rows))
+                if replica is not None:
+                    span.set(replica=replica)
+        lag = age = None
+        if replica is not None and self.shard_state is not None:
+            staleness = self.shard_state.staleness(shard, replica)
+            if staleness is not None:
+                lag, age = staleness
         elapsed = time.perf_counter() - started
         self._shard_histogram(shard).observe(elapsed)
-        if span:
-            span.set(rows=len(answer.rows))
-            if answer.replica is not None:
-                span.set(replica=answer.replica)
         if info is not None:
             info["elapsed_seconds"] = elapsed
             info["outcome"] = "ok"
-            info["rows"] = len(answer.rows)
-            if answer.replica is not None:
+            info["rows"] = len(rows)
+            if replica is not None:
                 info["read_from"] = "replica"
-                info["replica"] = answer.replica
-                info["replica_lag_writes"] = answer.lag_writes
-                info["replica_age_seconds"] = answer.age_seconds
+                info["replica"] = replica
+                info["replica_lag_writes"] = lag
+                info["replica_age_seconds"] = age
             pool = self.pools[shard]
             plans = pool.plan_cache.peek(
-                (pool.scheme_name, pool.epoch, xpath)
+                (pool.scheme_name, pool.epoch, query.xpath)
             )
             info["plan_cached"] = plans is not None
             info["lint"] = self._lint_verdict(pool, plans)
-        return answer
+        return _ShardAnswer(rows, replica, lag, age)
 
-    def _route_shard_read(
-        self,
-        shard: int,
-        docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
-        read_from: str,
-        info: dict | None,
-    ) -> _ShardAnswer:
-        """Replica-or-primary routing (the pre-telemetry body of
-        ``_query_shard``)."""
+    def _routed(self, shard: int, read_from: str, run, info=None):
+        """``run(pool, replica)`` on the next replica of *shard* when
+        *read_from* is ``"replica"`` and one exists, else (or when the
+        replica is down or overloaded) on the primary with ``replica``
+        None.  Returns ``(result, replica)``."""
         picked = (
             self._pick_replica(shard) if read_from == "replica" else None
         )
         if picked is not None:
             pool, replica = picked
             try:
-                with self.tracer.span("serve.replica_read", replica=replica):
-                    rows = self._query_on_pool(
-                        pool, docs, xpath, deadline_at, deadline_budget
-                    )
+                result = run(pool, replica)
             except (Overloaded, StorageError):
                 # The replica could not answer; its primary still can.
                 self.metrics.counter("serve.replica_fallbacks").inc()
@@ -354,22 +333,8 @@ class QueryExecutor:
                     info["replica_fallback"] = True
             else:
                 self.metrics.counter("serve.replica_reads").inc()
-                lag = age = None
-                if self.shard_state is not None:
-                    staleness = self.shard_state.staleness(shard, replica)
-                    if staleness is not None:
-                        lag, age = staleness
-                return _ShardAnswer(
-                    rows=rows,
-                    replica=replica,
-                    lag_writes=lag,
-                    age_seconds=age,
-                )
-        with self.tracer.span("serve.execute", shard=shard):
-            rows = self._query_on_pool(
-                self.pools[shard], docs, xpath, deadline_at, deadline_budget
-            )
-        return _ShardAnswer(rows=rows)
+                return result, replica
+        return run(self.pools[shard], None), None
 
     @staticmethod
     def _lint_verdict(pool: ConnectionPool, plans) -> str:
@@ -387,48 +352,32 @@ class QueryExecutor:
             return "warn"
         return "clean"
 
+    @staticmethod
     def _query_on_pool(
-        self,
         pool: ConnectionPool,
         docs: list[tuple[int, int]],
-        xpath: str,
-        deadline_at: float | None,
-        deadline_budget: float | None,
+        query: "ScatterStream",
     ) -> list[tuple[int, int]]:
         """Returns ``(global_doc_id, pre)`` pairs.  Checks the deadline
         between documents so a slow shard stops burning its pool slot
         once the query has already missed."""
         timeout = pool.acquire_timeout
-        if deadline_at is not None:
-            remaining = deadline_at - time.monotonic()
+        remaining = query.deadline_remaining()
+        if remaining is not None:
             if remaining <= 0:
-                raise self._deadline_error(deadline_budget, deadline_at)
+                raise query.deadline_error()
             timeout = min(timeout, remaining)
         session = pool.acquire(timeout=timeout)
         try:
             rows: list[tuple[int, int]] = []
             for global_doc, local_doc in docs:
-                if (
-                    deadline_at is not None
-                    and time.monotonic() > deadline_at
-                ):
-                    raise self._deadline_error(deadline_budget, deadline_at)
-                for pre in session.scheme.query_pres(local_doc, xpath):
+                if query.deadline_remaining() == 0:
+                    raise query.deadline_error()
+                for pre in session.scheme.query_pres(local_doc, query.xpath):
                     rows.append((global_doc, pre))
             return rows
         finally:
             pool.release(session)
-
-    def _deadline_error(
-        self, budget: float | None, deadline_at: float
-    ) -> DeadlineExceeded:
-        elapsed = (budget or 0.0) + (time.monotonic() - deadline_at)
-        return DeadlineExceeded(
-            f"query exceeded its {budget if budget is not None else 0.0:.3f}s "
-            f"deadline",
-            deadline_seconds=budget or 0.0,
-            elapsed=elapsed,
-        )
 
     # -- the public query paths ---------------------------------------------------
 
@@ -442,14 +391,16 @@ class QueryExecutor:
     ) -> ScatterResult:
         """Execute *xpath* against *targets* and merge the answers.
 
-        *targets* maps each shard to its ``(global_doc_id,
-        local_doc_id)`` pairs; a single-shard target set is the pruned
-        doc-scoped fast lane (no thread handoff), anything else
-        scatters across the worker pool.  *read_from* overrides the
-        executor default per query (``"primary"`` or ``"replica"``).
-        *ctx* carries an upstream request's identity (e.g. the
-        gateway's): the wide event and span tree reuse its request id
-        instead of minting a fresh one.
+        A collected :meth:`stream`: the same handle, gathered on the
+        calling thread.  *targets* maps each shard to its
+        ``(global_doc_id, local_doc_id)`` pairs; a single-shard target
+        set is the pruned doc-scoped fast lane, run inline on the
+        calling thread (no thread handoff), anything else scatters
+        across the worker pool.  *read_from* overrides the executor
+        default per query (``"primary"`` or ``"replica"``).  *ctx*
+        carries an upstream request's identity (e.g. the gateway's):
+        the wide event and span tree reuse its request id instead of
+        minting a fresh one.
 
         Every exit — success, Overloaded shed, deadline miss, shard
         failure — lands in ``serve.query_seconds`` (plus the
@@ -458,283 +409,10 @@ class QueryExecutor:
         :class:`~repro.obs.events.RequestLog` is attached, emits one
         wide event carrying the full per-shard breakdown.
         """
-        if self._closed:
-            raise StorageError("query executor is closed")
-        route = self.read_from if read_from is None else read_from
-        if route not in READ_FROM_MODES:
-            raise StorageError(
-                f"unknown read-from mode {route!r}; available: "
-                + ", ".join(READ_FROM_MODES)
-            )
-        budget = self.default_deadline if deadline is None else deadline
-        deadline_at = (
-            None if budget is None else time.monotonic() + budget
-        )
-        started = time.perf_counter()
-        breakdown: dict | None = (
-            {} if self.request_log is not None else None
-        )
-        upstream_id = ctx.request_id if ctx is not None else None
-        ctx = None
-        result: ScatterResult | None = None
-        outcome = "error"
-        error_text: str | None = None
-        try:
-            with self._admitted():
-                self.metrics.counter("serve.queries").inc()
-                with self.tracer.span(
-                    "serve.query", xpath=str(xpath), shards=len(targets)
-                ) as root:
-                    ctx = self.tracer.capture(request_id=upstream_id)
-                    if root:
-                        root.set(request_id=ctx.request_id)
-                    if len(targets) <= 1:
-                        self.metrics.counter(
-                            "serve.doc_scoped_queries"
-                        ).inc()
-                        result = self._run_single(
-                            xpath, targets, deadline_at, budget, started,
-                            route, ctx, breakdown,
-                        )
-                    else:
-                        self.metrics.counter("serve.scatter_queries").inc()
-                        result = self._scatter(
-                            xpath, targets, deadline_at, budget, started,
-                            route, ctx, breakdown,
-                        )
-                    if root:
-                        root.set(rows=len(result.rows))
-            outcome = "partial" if result.partial else "ok"
-            return result
-        except Overloaded as error:
-            outcome, error_text = "overloaded", str(error)
-            raise
-        except DeadlineExceeded as error:
-            outcome, error_text = "deadline_exceeded", str(error)
-            raise
-        except ShardError as error:
-            outcome, error_text = "shard_error", str(error)
-            raise
-        except BaseException as error:
-            error_text = f"{type(error).__name__}: {error}"
-            raise
-        finally:
-            self._finish_query(
-                xpath=xpath,
-                targets=targets,
-                route=route,
-                budget=budget,
-                started=started,
-                outcome=outcome,
-                error_text=error_text,
-                result=result,
-                ctx=ctx,
-                breakdown=breakdown,
-            )
-
-    def _finish_query(
-        self,
-        xpath,
-        targets,
-        route: str,
-        budget: float | None,
-        started: float,
-        outcome: str,
-        error_text: str | None,
-        result: ScatterResult | None,
-        ctx: RequestContext | None,
-        breakdown: dict | None,
-    ) -> None:
-        """Latency + outcome accounting and the wide event, on every
-        exit path of :meth:`query` (success and all raises alike)."""
-        elapsed = (
-            result.elapsed_seconds if result is not None
-            else time.perf_counter() - started
-        )
-        self.metrics.histogram("serve.query_seconds").observe(elapsed)
-        outcome_histogram, outcome_counter = self._outcome_pair(outcome)
-        outcome_histogram.observe(elapsed)
-        outcome_counter.inc()
-        if self.request_log is None:
-            return
-        request_id = (
-            ctx.request_id if ctx is not None
-            else self.tracer.capture().request_id
-        )
-        event = {
-            "event": "query",
-            "request_id": request_id,
-            "ts": time.time(),
-            "xpath": str(xpath),
-            "read_from": route,
-            "shards": len(targets),
-            "docs": sum(len(docs) for docs in targets.values()),
-            "outcome": outcome,
-            "elapsed_seconds": elapsed,
-            "deadline_seconds": budget,
-            "deadline_slack_seconds": (
-                None if budget is None else budget - elapsed
-            ),
-        }
-        if error_text is not None:
-            event["error"] = error_text
-        if result is not None:
-            event["rows"] = len(result.rows)
-            event["partial"] = result.partial
-            if result.failed_shards:
-                event["failed_shards"] = list(result.failed_shards)
-            event["replica_reads"] = result.replica_reads
-            if result.max_replica_lag_writes is not None:
-                event["max_replica_lag_writes"] = (
-                    result.max_replica_lag_writes
-                )
-            if result.max_replica_age_seconds is not None:
-                event["max_replica_age_seconds"] = (
-                    result.max_replica_age_seconds
-                )
-        if breakdown:
-            event["per_shard"] = [
-                breakdown[shard] for shard in sorted(breakdown)
-            ]
-        self.request_log.emit(event)
-
-    @staticmethod
-    def _merge(
-        answers: list[_ShardAnswer],
-        shards_queried: int,
-        started: float,
-        failures: list[tuple[int, str]],
-    ) -> ScatterResult:
-        """Fold per-shard answers into one sorted, staleness-bounded
-        result."""
-        rows: list[tuple[int, int]] = []
-        replica_reads = 0
-        max_lag: int | None = None
-        max_age: float | None = None
-        for answer in answers:
-            rows.extend(answer.rows)
-            if answer.replica is not None:
-                replica_reads += 1
-                if answer.lag_writes is not None:
-                    max_lag = (
-                        answer.lag_writes if max_lag is None
-                        else max(max_lag, answer.lag_writes)
-                    )
-                if answer.age_seconds is not None:
-                    max_age = (
-                        answer.age_seconds if max_age is None
-                        else max(max_age, answer.age_seconds)
-                    )
-        return ScatterResult(
-            rows=tuple(sorted(rows)),
-            shards_queried=shards_queried,
-            elapsed_seconds=time.perf_counter() - started,
-            partial=bool(failures),
-            failed_shards=tuple(failures),
-            replica_reads=replica_reads,
-            max_replica_lag_writes=max_lag,
-            max_replica_age_seconds=max_age,
-        )
-
-    def _run_single(
-        self, xpath, targets, deadline_at, budget, started, read_from,
-        ctx=None, breakdown=None,
-    ) -> ScatterResult:
-        """The pruned path: one shard, executed on the calling thread."""
-        failures: list[tuple[int, str]] = []
-        answers: list[_ShardAnswer] = []
-        for shard, docs in targets.items():  # 0 or 1 iterations
-            try:
-                answers.append(
-                    self._query_shard(
-                        shard, docs, xpath, deadline_at, budget,
-                        read_from, ctx, breakdown,
-                    )
-                )
-            except DeadlineExceeded:
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise
-            except XmlRelError as error:
-                self._note_shard_failure(shard, error, failures)
-        with self.tracer.span("serve.merge", answers=len(answers)):
-            return self._merge(answers, len(targets), started, failures)
-
-    def _scatter(
-        self, xpath, targets, deadline_at, budget, started, read_from,
-        ctx=None, breakdown=None,
-    ) -> ScatterResult:
-        """Fan out one task per shard; gather, merge, and sort."""
-        futures = {
-            self._threads.submit(
-                self._query_shard,
-                shard,
-                docs,
-                xpath,
-                deadline_at,
-                budget,
-                read_from,
-                ctx,
-                breakdown,
-            ): shard
-            for shard, docs in targets.items()
-        }
-        remaining = (
-            None if deadline_at is None
-            else max(0.0, deadline_at - time.monotonic())
-        )
-        # Fail-fast wakes on the first failure; partial mode must sit
-        # out the full fan-out (a late shard is still a good shard).
-        return_when = (
-            FIRST_EXCEPTION if self.on_shard_error == "fail"
-            else ALL_COMPLETED
-        )
-        done, not_done = wait(
-            futures, timeout=remaining, return_when=return_when
-        )
-        if not_done:
-            for future in not_done:
-                future.cancel()  # abandon; running tasks self-abort
-            failed = next(
-                (f for f in done if f.exception() is not None), None
-            )
-            if failed is None:
-                # Nothing failed — the fan-out simply missed the clock.
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise self._deadline_error(budget, deadline_at or 0.0)
-            error = failed.exception()
-            if isinstance(error, DeadlineExceeded):
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise error
-            if isinstance(error, XmlRelError):
-                self._note_shard_failure(futures[failed], error, [])
-            raise error
-        answers: list[_ShardAnswer] = []
-        failures: list[tuple[int, str]] = []
-        for future in futures:
-            shard = futures[future]
-            try:
-                answers.append(future.result())
-            except DeadlineExceeded:
-                self.metrics.counter("serve.deadline_exceeded").inc()
-                raise
-            except XmlRelError as error:
-                self._note_shard_failure(shard, error, failures)
-        with self.tracer.span("serve.merge", answers=len(answers)):
-            return self._merge(answers, len(targets), started, failures)
-
-    def _note_shard_failure(
-        self,
-        shard: int,
-        error: XmlRelError,
-        failures: list[tuple[int, str]],
-    ) -> None:
-        """Record one shard's failure, or raise in fail-fast mode."""
-        self.metrics.counter("serve.shard_failures").inc()
-        if self.on_shard_error == "fail":
-            if isinstance(error, ServingError):
-                raise error
-            raise ShardError(shard, error) from error
-        failures.append((shard, str(error)))
+        return ScatterStream(
+            self, xpath, targets, deadline, read_from, ctx,
+            inline=len(targets) <= 1,
+        ).gather()
 
     def stream(
         self,
@@ -744,15 +422,16 @@ class QueryExecutor:
         read_from: str | None = None,
         ctx: RequestContext | None = None,
     ) -> "ScatterStream":
-        """Begin an *incremental* scatter: per-shard futures surfaced to
-        the caller as they run, instead of one materialized
+        """Begin a scatter whose per-shard futures the caller consumes
+        as they complete, instead of one materialized
         :class:`ScatterResult`.
 
         Admission, deadlines, replica routing, tracing, and outcome
-        accounting all match :meth:`query`; what changes is delivery —
-        the caller (the network gateway) folds each shard's rows into
-        its response the moment that shard completes.  *ctx* optionally
-        parents the ``serve.query`` span under an outer request span.
+        accounting are :meth:`query`'s — both open the same handle.
+        Every shard, a doc-scoped one included, runs on the worker
+        pool, so an event loop (the network gateway) can await the
+        futures without blocking.  *ctx* optionally parents the
+        ``serve.query`` span under an outer request span.
 
         Caller contract: consume the handle's futures (collecting each
         through :meth:`ScatterStream.collect`), then call
@@ -760,50 +439,12 @@ class QueryExecutor:
         error paths — to release the admission slot and land the
         latency/outcome metrics and the wide event.
         """
-        if self._closed:
-            raise StorageError("query executor is closed")
-        route = self.read_from if read_from is None else read_from
-        if route not in READ_FROM_MODES:
-            raise StorageError(
-                f"unknown read-from mode {route!r}; available: "
-                + ", ".join(READ_FROM_MODES)
-            )
-        budget = self.default_deadline if deadline is None else deadline
-        deadline_at = (
-            None if budget is None else time.monotonic() + budget
-        )
-        started = time.perf_counter()
-        if not self._gate.acquire(blocking=False):
-            self.metrics.counter("serve.overloaded").inc()
-            error = Overloaded(
-                f"serving layer at max in-flight capacity "
-                f"({self.max_in_flight})",
-                in_flight=self.max_in_flight,
-                limit=self.max_in_flight,
-            )
-            self._finish_query(
-                xpath=xpath, targets=targets, route=route, budget=budget,
-                started=started, outcome="overloaded",
-                error_text=str(error), result=None, ctx=ctx,
-                breakdown=None,
-            )
-            raise error
-        self.metrics.gauge("serve.in_flight").add(1)
-        self.metrics.counter("serve.queries").inc()
-        self.metrics.counter("serve.streamed_queries").inc()
-        if len(targets) <= 1:
-            self.metrics.counter("serve.doc_scoped_queries").inc()
-        else:
-            self.metrics.counter("serve.scatter_queries").inc()
-        try:
-            return ScatterStream(
-                self, xpath, targets, route, budget, deadline_at,
-                started, ctx,
-            )
-        except BaseException:
-            self.metrics.gauge("serve.in_flight").add(-1)
-            self._gate.release()
-            raise
+        return ScatterStream(self, xpath, targets, deadline, read_from, ctx)
+
+    def submit(self, fn):
+        """Run ``fn()`` on a worker thread; its ``concurrent.futures``
+        future (the network gateway's off-loop hop for probes)."""
+        return self._threads.submit(fn)
 
     def run_on_shard(
         self, shard: int, fn, timeout: float | None = None
@@ -825,33 +466,23 @@ class QueryExecutor:
 
         Returns ``(result, replica)`` where ``replica`` is the replica
         index that served (None when the primary did — including after
-        a replica fallback)."""
+        a replica fallback, which a failed replica read of any kind
+        triggers, exactly as for :meth:`query`)."""
         if self._closed:
             raise StorageError("query executor is closed")
-        with self._admitted():
-            picked = (
-                self._pick_replica(shard)
-                if read_from == "replica" else None
-            )
-            if picked is not None:
-                pool, replica = picked
-                try:
-                    session = pool.acquire(timeout=timeout)
-                except (Overloaded, StorageError):
-                    self.metrics.counter("serve.replica_fallbacks").inc()
-                else:
-                    try:
-                        result = fn(session)
-                    finally:
-                        pool.release(session)
-                    self.metrics.counter("serve.replica_reads").inc()
-                    return result, replica
-            pool = self.pools[shard]
+
+        def run(pool, replica):
             session = pool.acquire(timeout=timeout)
             try:
-                return fn(session), None
+                return fn(session)
             finally:
                 pool.release(session)
+
+        self._admit()
+        try:
+            return self._routed(shard, read_from, run)
+        finally:
+            self._release()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -883,24 +514,30 @@ def outcome_for(error: BaseException) -> str:
 
 
 class ScatterStream:
-    """One in-flight incremental scatter, created by
-    :meth:`QueryExecutor.stream`.
+    """One query in flight — the single scatter path behind
+    :meth:`QueryExecutor.query` (gathered on the calling thread by
+    :meth:`gather`) and :meth:`QueryExecutor.stream` (consumed shard by
+    shard, e.g. from the gateway's event loop).
 
-    Holds the admission slot from construction until :meth:`finish`;
-    exposes the per-shard ``concurrent.futures`` handles in
-    :attr:`futures` so an async caller can wrap and await them in
-    completion order.  Rows flow shard-by-shard through
-    :meth:`collect`; the handle accumulates answers/failures so the
-    terminal :meth:`finish` can report the same merged
-    :class:`ScatterResult`, metrics, and wide event the materialized
-    path would have.
+    Construction checks the read route, starts the deadline clock, and
+    takes an admission slot (a shed query is accounted and raises
+    :class:`~repro.errors.Overloaded`), which the handle holds until
+    :meth:`finish`.  It then submits every shard's work to the worker
+    pool — unless *inline* (the doc-scoped lane of
+    :meth:`QueryExecutor.query`), where :meth:`gather` runs it on the
+    calling thread.  :attr:`futures` exposes the per-shard
+    ``concurrent.futures`` handles so an async caller can wrap and
+    await them in completion order.  Rows flow
+    shard-by-shard through :meth:`collect`, which applies the
+    fail-fast/partial policy; :meth:`finish` merges the answers into a
+    :class:`ScatterResult` and lands the metrics and wide event.
 
     The ``serve.query`` root span is opened and closed *synchronously*
     at construction (the creating thread may be an event loop
     interleaving many requests, so no span can stay open across a
-    suspension point); per-shard child spans attach to it cross-thread
-    via the captured :class:`~repro.obs.trace.RequestContext`, and the
-    request's wall time lives in ``serve.query_seconds`` as always.
+    suspension point); per-shard and merge spans attach to it via the
+    captured :class:`~repro.obs.trace.RequestContext`, and
+    :meth:`finish` stamps it with ``rows`` and ``elapsed_seconds``.
     """
 
     def __init__(
@@ -908,19 +545,34 @@ class ScatterStream:
         executor: QueryExecutor,
         xpath: str,
         targets: dict[int, list[tuple[int, int]]],
-        route: str,
-        budget: float | None,
-        deadline_at: float | None,
-        started: float,
-        parent_ctx: RequestContext | None,
+        deadline: float | None = None,
+        read_from: str | None = None,
+        parent_ctx: RequestContext | None = None,
+        inline: bool = False,
     ) -> None:
+        if executor._closed:
+            raise StorageError("query executor is closed")
+        route = executor.read_from if read_from is None else read_from
+        if route not in READ_FROM_MODES:
+            raise StorageError(
+                f"unknown read-from mode {route!r}; available: "
+                + ", ".join(READ_FROM_MODES)
+            )
         self.executor = executor
         self.xpath = xpath
         self.targets = targets
         self.route = route
-        self.budget = budget
-        self.deadline_at = deadline_at
-        self.started = started
+        self.budget = (
+            executor.default_deadline if deadline is None else deadline
+        )
+        self.deadline_at = (
+            None if self.budget is None
+            else time.monotonic() + self.budget
+        )
+        self.started = time.perf_counter()
+        #: The request's trace context; the upstream one until the
+        #: root span exists (a shed query is accounted under it).
+        self.ctx = parent_ctx
         self.breakdown: dict | None = (
             {} if executor.request_log is not None else None
         )
@@ -928,43 +580,44 @@ class ScatterStream:
         self._failures: list[tuple[int, str]] = []
         self._finished = False
         self._result: ScatterResult | None = None
+        self._root = None
+        self._inline = inline
+        try:
+            executor._admit()
+        except Overloaded as error:
+            self._account("overloaded", str(error))
+            raise
+        metrics = executor.metrics
+        metrics.counter("serve.queries").inc()
+        if len(targets) <= 1:
+            metrics.counter("serve.doc_scoped_queries").inc()
+        else:
+            metrics.counter("serve.scatter_queries").inc()
         tracer = executor.tracer
-        upstream_id = (
-            parent_ctx.request_id if parent_ctx is not None else None
-        )
-        with tracer.adopt(parent_ctx):
-            with tracer.span(
-                "serve.query",
-                xpath=str(xpath),
-                shards=len(targets),
-                streaming=True,
+        try:
+            with tracer.adopt(parent_ctx), tracer.span(
+                "serve.query", xpath=str(xpath), shards=len(targets)
             ) as root:
                 self.ctx = tracer.capture(
-                    root if root else None, request_id=upstream_id
+                    root if root else None,
+                    request_id=parent_ctx.request_id if parent_ctx else None,
                 )
                 if root:
                     root.set(request_id=self.ctx.request_id)
-        #: ``{future: shard}`` — all submitted at construction; a shard
-        #: with no targeted documents still gets a (trivial) task so
-        #: the stream always announces every shard it covers.
-        self.futures = {
-            executor._threads.submit(
-                executor._query_shard,
-                shard,
-                docs,
-                xpath,
-                deadline_at,
-                budget,
-                route,
-                self.ctx,
-                self.breakdown,
-            ): shard
-            for shard, docs in targets.items()
-        }
-
-    @property
-    def request_id(self) -> str:
-        return self.ctx.request_id
+                    self._root = root
+            #: ``{future: shard}`` — a shard with no targeted documents
+            #: still gets a (trivial) task so the stream always
+            #: announces every shard it covers.  Empty when *inline*:
+            #: :meth:`gather` runs the shard on the calling thread.
+            self.futures = {} if inline else {
+                executor._threads.submit(
+                    executor._query_shard, self, shard, docs
+                ): shard
+                for shard, docs in targets.items()
+            }
+        except BaseException:
+            executor._release()
+            raise
 
     def deadline_remaining(self) -> float | None:
         """Seconds left on the budget (None: no deadline)."""
@@ -972,12 +625,20 @@ class ScatterStream:
             return None
         return max(0.0, self.deadline_at - time.monotonic())
 
-    def expire(self) -> DeadlineExceeded:
-        """The typed error for a stream that missed its deadline."""
-        self.executor.metrics.counter("serve.deadline_exceeded").inc()
-        return self.executor._deadline_error(
-            self.budget, self.deadline_at or 0.0
+    def deadline_error(self) -> DeadlineExceeded:
+        """The typed error for a query past its deadline."""
+        budget = self.budget or 0.0
+        return DeadlineExceeded(
+            f"query exceeded its {budget:.3f}s deadline",
+            deadline_seconds=budget,
+            elapsed=time.perf_counter() - self.started,
         )
+
+    def expire(self) -> DeadlineExceeded:
+        """:meth:`deadline_error`, counted: the stream as a whole
+        missed its deadline."""
+        self.executor.metrics.counter("serve.deadline_exceeded").inc()
+        return self.deadline_error()
 
     def collect(self, future) -> tuple[int, list | None]:
         """Fold one *completed* future into the stream.
@@ -985,16 +646,26 @@ class ScatterStream:
         Returns ``(shard, rows)``; ``rows`` is ``None`` when the shard
         failed under the ``"partial"`` degraded mode (the failure is
         recorded for the terminal event).  Fail-fast mode and deadline
-        misses raise, exactly like the materialized gather.
+        misses raise.
         """
-        shard = self.futures[future]
+        return self._fold(self.futures[future], future.result)
+
+    def _fold(self, shard: int, answer_of) -> tuple[int, list | None]:
+        """:meth:`collect`'s body: ``answer_of()`` is the shard's
+        answer, or raises its failure."""
+        metrics = self.executor.metrics
         try:
-            answer = future.result()
+            answer = answer_of()
         except DeadlineExceeded:
-            self.executor.metrics.counter("serve.deadline_exceeded").inc()
+            metrics.counter("serve.deadline_exceeded").inc()
             raise
         except XmlRelError as error:
-            self.executor._note_shard_failure(shard, error, self._failures)
+            metrics.counter("serve.shard_failures").inc()
+            if self.executor.on_shard_error == "fail":
+                if isinstance(error, ServingError):
+                    raise
+                raise ShardError(shard, error) from error
+            self._failures.append((shard, str(error)))
             return shard, None
         self._answers.append(answer)
         return shard, answer.rows
@@ -1003,6 +674,43 @@ class ScatterStream:
         """Shard failures recorded so far (``partial`` mode only)."""
         return list(self._failures)
 
+    @property
+    def wake_when(self) -> str:
+        """When a whole-answer collector wakes, as ``return_when`` of
+        ``concurrent.futures.wait`` or ``asyncio.wait``: at the first
+        failure in fail-fast mode, else after every shard (a late shard
+        is still a good shard)."""
+        if self.executor.on_shard_error == "fail":
+            return FIRST_EXCEPTION
+        return ALL_COMPLETED
+
+    def gather(self) -> ScatterResult:
+        """Wait for every shard on the calling thread (waking as
+        :attr:`wake_when` says), then :meth:`finish` — the materialized
+        answer.  A shard still running at the deadline is abandoned.
+        """
+        try:
+            if self._inline:
+                for shard, docs in self.targets.items():
+                    self._fold(shard, partial(
+                        self.executor._query_shard, self, shard, docs
+                    ))
+            else:
+                done, not_done = wait(
+                    self.futures,
+                    timeout=self.deadline_remaining(),
+                    return_when=self.wake_when,
+                )
+                for future in self.futures:
+                    if future in done:
+                        self.collect(future)
+                if not_done:
+                    raise self.expire()
+        except BaseException as error:
+            self.finish(error)
+            raise
+        return self.finish()
+
     def finish(
         self, error: BaseException | None = None
     ) -> ScatterResult | None:
@@ -1010,43 +718,117 @@ class ScatterStream:
         the outcome metrics plus the wide event.
 
         With no *error*, merges the collected answers into the
-        :class:`ScatterResult` the materialized path would have
-        returned.  Idempotent — the first call wins.
+        :class:`ScatterResult`.  Idempotent — the first call wins.
         """
         if self._finished:
             return self._result
         self._finished = True
         for future in self.futures:
             future.cancel()  # abandon stragglers; running tasks self-abort
-        error_text: str | None = None
         if error is None:
             tracer = self.executor.tracer
-            with tracer.adopt(self.ctx):
-                with tracer.span(
-                    "serve.merge", answers=len(self._answers)
-                ):
-                    self._result = QueryExecutor._merge(
-                        self._answers,
-                        len(self.targets),
-                        self.started,
-                        self._failures,
-                    )
+            with tracer.adopt(self.ctx), tracer.span(
+                "serve.merge", answers=len(self._answers)
+            ):
+                self._result = self._merge()
             outcome = "partial" if self._result.partial else "ok"
+            error_text = None
         else:
             outcome = outcome_for(error)
             error_text = f"{type(error).__name__}: {error}"
-        self.executor.metrics.gauge("serve.in_flight").add(-1)
-        self.executor._gate.release()
-        self.executor._finish_query(
-            xpath=self.xpath,
-            targets=self.targets,
-            route=self.route,
-            budget=self.budget,
-            started=self.started,
-            outcome=outcome,
-            error_text=error_text,
-            result=self._result,
-            ctx=self.ctx,
-            breakdown=self.breakdown,
-        )
+        self.executor._release()
+        elapsed = self._account(outcome, error_text)
+        if self._root is not None:
+            self._root.set(elapsed_seconds=elapsed)
+            if self._result is not None:
+                self._root.set(rows=len(self._result.rows))
         return self._result
+
+    def _merge(self) -> ScatterResult:
+        """Fold the per-shard answers into one sorted,
+        staleness-bounded result."""
+        rows: list[tuple[int, int]] = []
+        replica_reads = 0
+        max_lag: int | None = None
+        max_age: float | None = None
+        for answer in self._answers:
+            rows.extend(answer.rows)
+            if answer.replica is not None:
+                replica_reads += 1
+                if answer.lag_writes is not None:
+                    max_lag = (
+                        answer.lag_writes if max_lag is None
+                        else max(max_lag, answer.lag_writes)
+                    )
+                if answer.age_seconds is not None:
+                    max_age = (
+                        answer.age_seconds if max_age is None
+                        else max(max_age, answer.age_seconds)
+                    )
+        return ScatterResult(
+            rows=tuple(sorted(rows)),
+            shards_queried=len(self.targets),
+            elapsed_seconds=time.perf_counter() - self.started,
+            partial=bool(self._failures),
+            failed_shards=tuple(self._failures),
+            replica_reads=replica_reads,
+            max_replica_lag_writes=max_lag,
+            max_replica_age_seconds=max_age,
+        )
+
+    def _account(self, outcome: str, error_text: str | None) -> float:
+        """Latency + outcome accounting and the wide event, on every
+        exit path of a query (success, shed and all raises alike);
+        returns the query's elapsed seconds."""
+        executor, result = self.executor, self._result
+        elapsed = (
+            result.elapsed_seconds if result is not None
+            else time.perf_counter() - self.started
+        )
+        executor.metrics.histogram("serve.query_seconds").observe(elapsed)
+        outcome_histogram, outcome_counter = executor._outcome_pair(outcome)
+        outcome_histogram.observe(elapsed)
+        outcome_counter.inc()
+        if executor.request_log is None:
+            return elapsed
+        request_id = (
+            self.ctx.request_id if self.ctx is not None
+            else executor.tracer.capture().request_id
+        )
+        event = {
+            "event": "query",
+            "request_id": request_id,
+            "ts": time.time(),
+            "xpath": str(self.xpath),
+            "read_from": self.route,
+            "shards": len(self.targets),
+            "docs": sum(len(docs) for docs in self.targets.values()),
+            "outcome": outcome,
+            "elapsed_seconds": elapsed,
+            "deadline_seconds": self.budget,
+            "deadline_slack_seconds": (
+                None if self.budget is None else self.budget - elapsed
+            ),
+        }
+        if error_text is not None:
+            event["error"] = error_text
+        if result is not None:
+            event["rows"] = len(result.rows)
+            event["partial"] = result.partial
+            if result.failed_shards:
+                event["failed_shards"] = list(result.failed_shards)
+            event["replica_reads"] = result.replica_reads
+            if result.max_replica_lag_writes is not None:
+                event["max_replica_lag_writes"] = (
+                    result.max_replica_lag_writes
+                )
+            if result.max_replica_age_seconds is not None:
+                event["max_replica_age_seconds"] = (
+                    result.max_replica_age_seconds
+                )
+        if self.breakdown:
+            event["per_shard"] = [
+                self.breakdown[shard] for shard in sorted(self.breakdown)
+            ]
+        executor.request_log.emit(event)
+        return elapsed

@@ -1,9 +1,12 @@
 """``repro.serve.gateway`` — the async network front door.
 
 Everything below :class:`Gateway` is a library; this module is the
-socket.  An asyncio HTTP/1.1 server (stdlib only, own event loop on a
-named daemon thread) fronts a :class:`~repro.serve.sharded.ShardedStore`
-with a small JSON protocol (:mod:`repro.serve.protocol`):
+socket.  One asyncio HTTP/1.1 server per store (:class:`HttpServer`,
+stdlib only, own event loop on a named daemon thread) carries two
+listeners, each on its own port: the query gateway, with a small JSON
+protocol (:mod:`repro.serve.protocol`), and the ops endpoint
+(``/metrics``, ``/snapshot``, ``/healthz`` of an
+:class:`~repro.obs.ops.OpsServer`), kept apart from query traffic.
 
 * ``POST /query`` / ``GET /query?xpath=...`` — execute an XPath over
   the store: one document (``doc_id``) or a full scatter-gather.
@@ -16,12 +19,14 @@ with a small JSON protocol (:mod:`repro.serve.protocol`):
 **Division of labour.**  The event loop does only cheap, non-blocking
 work: HTTP parsing, XPath parsing, the optional DTD/path-summary lint
 (unsatisfiable queries short-circuit to an empty answer with zero SQL),
-per-client quota admission, and shard-map target resolution.  Execution
-always happens off-loop — materialized queries dispatch the existing
-thread-pool :class:`~repro.serve.executor.QueryExecutor` through a
-small dispatch pool; streamed queries consume the executor's
-:class:`~repro.serve.executor.ScatterStream` futures as asyncio
-awaitables.  Nothing on the loop ever touches SQLite.
+per-client quota admission, shard-map target resolution, merging and
+encoding.  Execution makes one hop: every query opens the executor's
+:class:`~repro.serve.executor.ScatterStream` and the loop awaits its
+per-shard futures, which run on the executor's worker threads — a
+materialized answer is a collected stream.  Health and snapshot probes
+take the same hop; nothing on the loop ever touches SQLite.  Stopping
+a listener is quiet: it stops accepting, closes idle keep-alive
+connections, and lets in-flight requests finish.
 
 **Admission is layered.**  A per-client token bucket
 (:class:`ClientQuotas`) sheds abusive clients *before* any work, with a
@@ -49,28 +54,27 @@ runs under it.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import itertools
 import math
 import threading
 import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import (
     Overloaded,
     ProtocolError,
     StorageError,
     XmlRelError,
-    error_payload,
     http_status,
 )
-from repro.serve.executor import outcome_for
+from repro.serve.executor import ScatterResult
 from repro.serve.protocol import (
     ANONYMOUS_CLIENT,
     CLIENT_HEADER,
     JSON_CONTENT_TYPE,
     MAX_BODY_BYTES,
     NDJSON_CONTENT_TYPE,
-    QuerySpec,
     error_body,
     ndjson_line,
     parse_json_body,
@@ -96,6 +100,326 @@ _REASONS = {
 
 #: Route labels used in ``gateway.route.<route>.seconds`` histograms.
 ROUTES = ("query", "query_stream", "healthz", "stats", "other")
+
+#: ``/metrics`` content type (Prometheus text exposition 0.0.4).
+PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
+
+#: Seconds a closing listener waits for in-flight requests.
+SHUTDOWN_GRACE_SECONDS = 10.0
+
+
+def _head(
+    status: int,
+    content_type: str,
+    length: int | None = None,
+    chunked: bool = False,
+    keep_alive: bool = False,
+    extra_headers: dict | None = None,
+) -> bytes:
+    reason = _REASONS.get(status, "Unknown")
+    lines = [
+        f"HTTP/1.1 {status} {reason}",
+        f"Content-Type: {content_type}",
+    ]
+    if chunked:
+        lines.append("Transfer-Encoding: chunked")
+        lines.append("Connection: close")
+    else:
+        lines.append(f"Content-Length: {length or 0}")
+        lines.append(
+            "Connection: keep-alive" if keep_alive
+            else "Connection: close"
+        )
+    for name, value in (extra_headers or {}).items():
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+async def _send(
+    writer,
+    status: int,
+    body: bytes,
+    content_type: str = JSON_CONTENT_TYPE,
+    keep_alive: bool = False,
+    extra_headers: dict | None = None,
+) -> None:
+    """One complete (``Content-Length``) response."""
+    writer.write(
+        _head(status, content_type, len(body), False, keep_alive,
+              extra_headers)
+        + body
+    )
+    await writer.drain()
+
+
+def _not_found(path: str) -> bytes:
+    return ndjson_line(
+        {"error": "NotFound", "message": f"no route {path}", "status": 404}
+    )
+
+
+def _keep_alive(headers: dict) -> bool:
+    return headers.get("connection", "").lower() != "close"
+
+
+class HttpServer:
+    """One asyncio event loop on a named daemon thread, serving any
+    number of HTTP/1.1 listeners for one store.
+
+    A listener is a socket plus a *route* coroutine ``route(writer,
+    method, path, params, headers, body) -> close``; this class owns
+    what every route shares — the loop, the off-loop hop, ``/healthz``
+    and a quiet shutdown.  The store opens it on first use
+    (``ShardedStore.http_server()``) and stops it in ``close()``; its
+    query gateway and its ops endpoint are two listeners of it.
+    """
+
+    def __init__(self, store) -> None:
+        self.store = store
+        self._loop = asyncio.new_event_loop()
+        self._thread = threading.Thread(
+            target=self._loop.run_forever, name="xmlrel-http", daemon=True
+        )
+        self._thread.start()
+        self._listeners: list[Listener] = []
+
+    def call(self, coroutine):
+        """Run *coroutine* on the loop from another thread; its result."""
+        return asyncio.run_coroutine_threadsafe(
+            coroutine, self._loop
+        ).result(timeout=SHUTDOWN_GRACE_SECONDS + 5.0)
+
+    def listen(
+        self, route, host: str, port: int, name: str,
+        idle_timeout: float = 30.0,
+    ) -> "Listener":
+        """Open a listener; returns once it accepts.  *name* prefixes
+        its ``<name>.connections`` gauge."""
+        listener = Listener(self, route, name, idle_timeout)
+        try:
+            self.call(listener.open(host, port))
+        except OSError as error:
+            raise StorageError(
+                f"{name} listener failed to start: {error}"
+            ) from error
+        self._listeners.append(listener)
+        return listener
+
+    def mount_ops(self, ops, host: str = "127.0.0.1", port: int = 0):
+        """Serve *ops* (an :class:`~repro.obs.ops.OpsServer`) on a
+        listener of its own; returns *ops*, bound to it."""
+
+        async def route(writer, method, path, params, headers, body):
+            keep_alive = _keep_alive(headers)
+            if path == "/healthz":
+                await self.healthz(writer, keep_alive)
+            elif path == "/metrics":
+                # Registry reads only — cheap enough for the loop.
+                await _send(
+                    writer, 200, ops.prometheus().encode(),
+                    PROMETHEUS_CONTENT_TYPE, keep_alive,
+                )
+            elif path == "/snapshot":
+                snapshot = await self.off_loop(ops.snapshot)
+                await _send(
+                    writer, 200, ndjson_line(snapshot),
+                    keep_alive=keep_alive,
+                )
+            else:
+                await _send(
+                    writer, 404, _not_found(path), keep_alive=keep_alive
+                )
+            return not keep_alive
+
+        ops.listener = self.listen(route, host, port, "ops")
+        return ops
+
+    def stop(self) -> None:
+        """Close every listener gracefully, then end the loop;
+        idempotent."""
+        if self._loop.is_closed():
+            return
+        for listener in self._listeners:
+            listener.stop()
+        self._loop.call_soon_threadsafe(self._loop.stop)
+        self._thread.join(timeout=5.0)
+        if not self._loop.is_running():
+            self._loop.close()
+
+    async def off_loop(self, fn):
+        """``fn()`` on the executor's worker threads, awaited from the
+        loop — the one hop for work that may touch SQLite."""
+        return await asyncio.wrap_future(self.store.executor.submit(fn))
+
+    async def healthz(self, writer, keep_alive: bool) -> int:
+        """``/healthz``: the store's health document, probed off-loop
+        (the probe acquires pooled connections); HTTP 200 when
+        ``status == "ok"``, else 503, so a load balancer can act on the
+        status code alone.  Returns the status."""
+        try:
+            health = await self.off_loop(self.store.health)
+        except Exception as error:  # a failed probe is an answer too
+            health = {
+                "status": "error",
+                "error": f"{type(error).__name__}: {error}",
+            }
+        status = 200 if health.get("status") == "ok" else 503
+        await _send(
+            writer, status, ndjson_line(health), keep_alive=keep_alive
+        )
+        return status
+
+
+class Listener:
+    """One listening socket of an :class:`HttpServer`: its route, its
+    connections, and a graceful close."""
+
+    def __init__(self, server: HttpServer, route, name: str,
+                 idle_timeout: float) -> None:
+        self.server = server
+        self.route = route
+        self.idle_timeout = idle_timeout
+        self.connections = server.store.metrics.gauge(f"{name}.connections")
+        self.host = self.port = self._server = None
+        self._tasks: set = set()
+        #: Writers of connections waiting for their next request.
+        self._idle: set = set()
+        self._closing = False
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    async def open(self, host: str, port: int) -> None:
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port
+        )
+        self.host = host
+        self.port = self._server.sockets[0].getsockname()[1]
+
+    def stop(self) -> None:
+        """:meth:`close` from another thread; idempotent."""
+        if not self._closing and not self.server._loop.is_closed():
+            self.server.call(self.close())
+
+    async def close(self) -> None:
+        """Stop accepting, close idle keep-alive connections, and give
+        in-flight requests :data:`SHUTDOWN_GRACE_SECONDS` to finish."""
+        if self._closing:
+            return
+        self._closing = True
+        self._server.close()
+        for writer in self._idle:
+            writer.close()  # the handler reads EOF and exits
+        if self._tasks:
+            _, late = await asyncio.wait(
+                set(self._tasks), timeout=SHUTDOWN_GRACE_SECONDS
+            )
+            for task in late:
+                task.cancel()
+            if late:
+                await asyncio.wait(late)
+        await self._server.wait_closed()
+
+    async def _handle_connection(self, reader, writer) -> None:
+        task = asyncio.current_task()
+        self._tasks.add(task)
+        self.connections.add(1)
+        try:
+            while not self._closing:
+                try:
+                    request = await self._read_request(reader, writer)
+                    if request is None:
+                        break
+                    close = await self.route(writer, *request)
+                except XmlRelError as error:
+                    # Wire-level failures (malformed request line,
+                    # health probe errors): typed status, then close.
+                    await _send(
+                        writer, http_status(error),
+                        ndjson_line(error_body(error)),
+                    )
+                    close = True
+                if close:
+                    break
+        except (
+            ConnectionError,
+            asyncio.IncompleteReadError,
+            asyncio.TimeoutError,
+            TimeoutError,
+        ):
+            pass
+        except asyncio.CancelledError:
+            # close() cancelled this handler past its grace period and
+            # awaits it; end normally, because asyncio logs a traceback
+            # for a cancelled start_server handler task.
+            pass
+        finally:
+            self._tasks.discard(task)
+            self.connections.add(-1)
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError, asyncio.CancelledError):
+                pass
+
+    async def _read_request(self, reader, writer):
+        """One HTTP request off the wire: ``(method, path, params,
+        headers, body)``, or None at EOF/idle timeout."""
+        self._idle.add(writer)
+        try:
+            line = await asyncio.wait_for(
+                reader.readline(), timeout=self.idle_timeout
+            )
+        except (asyncio.TimeoutError, TimeoutError):
+            return None
+        except ValueError:
+            # readline() raises ValueError past the stream limit.
+            raise ProtocolError("request line too long") from None
+        finally:
+            self._idle.discard(writer)
+        if not line:
+            return None
+        parts = line.decode("latin-1").strip().split()
+        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
+            raise ProtocolError(f"malformed request line: {line!r}")
+        method, target = parts[0].upper(), parts[1]
+        headers: dict[str, str] = {}
+        while True:
+            try:
+                line = await asyncio.wait_for(
+                    reader.readline(), timeout=self.idle_timeout
+                )
+            except ValueError:
+                raise ProtocolError("request header too long") from None
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if len(headers) > 100:
+                raise ProtocolError("too many request headers")
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        raw_length = headers.get("content-length", "").strip()
+        if raw_length:
+            try:
+                length = int(raw_length)
+            except ValueError:
+                raise ProtocolError(
+                    f"invalid Content-Length: {raw_length!r}"
+                ) from None
+            if length < 0:
+                raise ProtocolError(
+                    f"negative Content-Length: {length}"
+                )
+        else:
+            length = 0
+        if length > MAX_BODY_BYTES:
+            raise ProtocolError(
+                f"request body exceeds {MAX_BODY_BYTES} bytes"
+            )
+        body = await reader.readexactly(length) if length else b""
+        split = urllib.parse.urlsplit(target)
+        params = dict(urllib.parse.parse_qsl(split.query))
+        return method, split.path, params, headers, body
 
 
 class ClientQuotas:
@@ -170,7 +494,7 @@ class ClientQuotas:
 
 
 class Gateway:
-    """The HTTP/JSON front end over one sharded store.
+    """The HTTP/JSON query front end over one sharded store.
 
     :param store: the :class:`~repro.serve.sharded.ShardedStore` served.
     :param quota_rate: per-client admitted requests/second (None: off).
@@ -183,10 +507,11 @@ class Gateway:
         empty answer and zero SQL.
     :param idle_timeout: seconds a keep-alive connection may sit idle.
 
-    ``start()`` binds the socket and runs the event loop on a named
-    daemon thread; the gateway is usable from synchronous code (tests,
-    benchmarks, ``curl``) immediately after.  ``stop()`` (or the
-    owning store's ``close()``) shuts it down.
+    ``start()`` opens the gateway's listener on the store's
+    :class:`HttpServer` (starting its loop thread if needed); the
+    gateway is usable from synchronous code (tests, benchmarks,
+    ``curl``) immediately after.  ``stop()`` closes the listener
+    gracefully; the owning store's ``close()`` stops everything.
     """
 
     def __init__(
@@ -198,7 +523,6 @@ class Gateway:
         quota_burst: float | None = None,
         default_deadline: float | None = None,
         analyzer=None,
-        max_dispatch_workers: int | None = None,
         idle_timeout: float = 30.0,
     ) -> None:
         self.store = store
@@ -211,17 +535,7 @@ class Gateway:
         self.analyzer = analyzer
         self.idle_timeout = idle_timeout
         self.quotas = ClientQuotas(quota_rate, quota_burst)
-        self._dispatch = ThreadPoolExecutor(
-            max_workers=max_dispatch_workers
-            or max(4, len(store.pools)),
-            thread_name_prefix="xmlrel-gateway-dispatch",
-        )
-        self._thread: threading.Thread | None = None
-        self._ready = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._port: int | None = None
+        self._listener: Listener | None = None
         self._route_seconds: dict = {}
         self._status_counters: dict = {}
 
@@ -229,58 +543,26 @@ class Gateway:
 
     def start(self) -> "Gateway":
         """Bind and serve; returns once the socket accepts connections."""
-        if self._thread is not None:
-            return self
-        self._thread = threading.Thread(
-            target=self._run_loop,
-            name="xmlrel-gateway",
-            daemon=True,
-        )
-        self._thread.start()
-        if not self._ready.wait(timeout=10.0):
-            raise StorageError("gateway failed to start within 10s")
-        if self._startup_error is not None:
-            raise StorageError(
-                f"gateway failed to start: {self._startup_error}"
-            ) from self._startup_error
+        if self._listener is None:
+            self._listener = self.store.http_server().listen(
+                self._route_request,
+                self.host,
+                self.requested_port,
+                "gateway",
+                idle_timeout=self.idle_timeout,
+            )
         return self
 
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._serve())
-        except BaseException as error:  # surfaced to start()/stop()
-            self._startup_error = error
-        finally:
-            self._ready.set()
-
-    async def _serve(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
-        server = await asyncio.start_server(
-            self._handle_connection, self.host, self.requested_port
-        )
-        self._port = server.sockets[0].getsockname()[1]
-        self._ready.set()
-        async with server:
-            await self._stop_event.wait()
-
     def stop(self) -> None:
-        """Shut the listener and the dispatch pool down; idempotent."""
-        loop, stop_event = self._loop, self._stop_event
-        if loop is not None and stop_event is not None:
-            try:
-                loop.call_soon_threadsafe(stop_event.set)
-            except RuntimeError:
-                pass  # loop already gone
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-        self._dispatch.shutdown(wait=False, cancel_futures=True)
+        """Close the listener gracefully; idempotent."""
+        if self._listener is not None:
+            self._listener.stop()
 
     @property
     def port(self) -> int:
-        if self._port is None:
+        if self._listener is None:
             raise StorageError("gateway is not started")
-        return self._port
+        return self._listener.port
 
     @property
     def url(self) -> str:
@@ -352,135 +634,32 @@ class Gateway:
                 event["rows"] = rows
             log.emit(event)
 
-    # -- connection handling ------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        self.metrics.gauge("gateway.connections").add(1)
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                    if request is None:
-                        break
-                    close = await self._route_request(writer, *request)
-                except XmlRelError as error:
-                    # Wire-level failures (malformed request line,
-                    # health probe errors): typed status, then close.
-                    await self._respond_json(
-                        writer,
-                        http_status(error),
-                        error_body(error),
-                        keep_alive=False,
-                    )
-                    close = True
-                if close:
-                    break
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            asyncio.TimeoutError,
-            TimeoutError,
-        ):
-            pass
-        finally:
-            self.metrics.gauge("gateway.connections").add(-1)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(self, reader):
-        """One HTTP request off the wire: ``(method, path, params,
-        headers, body)``, or None at EOF/idle timeout."""
-        try:
-            line = await asyncio.wait_for(
-                reader.readline(), timeout=self.idle_timeout
-            )
-        except (asyncio.TimeoutError, TimeoutError):
-            return None
-        except ValueError:
-            # readline() raises ValueError past the stream limit.
-            raise ProtocolError("request line too long") from None
-        if not line:
-            return None
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-            raise ProtocolError(f"malformed request line: {line!r}")
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            try:
-                line = await asyncio.wait_for(
-                    reader.readline(), timeout=self.idle_timeout
-                )
-            except ValueError:
-                raise ProtocolError("request header too long") from None
-            if line in (b"\r\n", b"\n", b""):
-                break
-            if len(headers) > 100:
-                raise ProtocolError("too many request headers")
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        raw_length = headers.get("content-length", "").strip()
-        if raw_length:
-            try:
-                length = int(raw_length)
-            except ValueError:
-                raise ProtocolError(
-                    f"invalid Content-Length: {raw_length!r}"
-                ) from None
-            if length < 0:
-                raise ProtocolError(
-                    f"negative Content-Length: {length}"
-                )
-        else:
-            length = 0
-        if length > MAX_BODY_BYTES:
-            raise ProtocolError(
-                f"request body exceeds {MAX_BODY_BYTES} bytes"
-            )
-        body = await reader.readexactly(length) if length else b""
-        split = urllib.parse.urlsplit(target)
-        params = dict(urllib.parse.parse_qsl(split.query))
-        return method, split.path, params, headers, body
+    # -- routes -------------------------------------------------------------------
 
     async def _route_request(
         self, writer, method, path, params, headers, body
     ) -> bool:
         """Dispatch one parsed request; returns True when the
         connection must close (streams always close)."""
-        keep_alive = headers.get("connection", "").lower() != "close"
+        keep_alive = _keep_alive(headers)
         if path == "/query":
             return await self._handle_query(
                 writer, method, params, headers, body, keep_alive
             )
         started = time.perf_counter()
         if path == "/healthz":
-            # Health probes acquire pooled connections — off-loop work.
-            health = await asyncio.get_running_loop().run_in_executor(
-                self._dispatch, self.store.health
-            )
-            status = 200 if health.get("status") == "ok" else 503
-            await self._respond_json(
-                writer, status, health, keep_alive=keep_alive
-            )
+            status = await self._listener.server.healthz(writer, keep_alive)
             self._observe("healthz", status, started, None, None)
-            return not keep_alive
-        if path == "/stats":
+        elif path == "/stats":
             await self._respond_json(
                 writer, 200, self.snapshot(), keep_alive=keep_alive
             )
             self._observe("stats", 200, started, None, None)
-            return not keep_alive
-        await self._respond_json(
-            writer,
-            404,
-            {"error": "NotFound", "message": f"no route {path}",
-             "status": 404},
-            keep_alive=keep_alive,
-        )
-        self._observe("other", 404, started, None, None)
+        else:
+            await _send(
+                writer, 404, _not_found(path), keep_alive=keep_alive
+            )
+            self._observe("other", 404, started, None, None)
         return not keep_alive
 
     # -- the query route ----------------------------------------------------------
@@ -501,13 +680,8 @@ class Gateway:
                     f"method {method} not allowed on /query"
                 )
             if spec.deadline is None and self.default_deadline is not None:
-                spec = QuerySpec(
-                    xpath=spec.xpath,
-                    doc_id=spec.doc_id,
-                    deadline=self.default_deadline,
-                    read_from=spec.read_from,
-                    stream=spec.stream,
-                    client=spec.client,
+                spec = dataclasses.replace(
+                    spec, deadline=self.default_deadline
                 )
             parsed = parse_xpath(spec.xpath)
         with self.tracer.span("gateway.admit", client=spec.client):
@@ -620,57 +794,76 @@ class Gateway:
     ):
         """An unsatisfiable query answered from the loop: zero rows,
         zero SQL, zero executor occupancy."""
-        body = {
-            "request_id": request_id,
-            "rows": [],
-            "row_count": 0,
-            "shards_queried": 0,
-            "elapsed_seconds": time.perf_counter() - started,
-            "partial": False,
-            "short_circuit": True,
-        }
-        if spec.stream:
-            head = self._head(200, NDJSON_CONTENT_TYPE, chunked=True)
-            writer.write(head)
-            await self._chunk(
-                writer,
-                ndjson_line(
-                    {"event": "start", "request_id": request_id,
-                     "shards": 0, "short_circuit": True}
-                ),
-            )
-            await self._chunk(
-                writer,
-                ndjson_line(
-                    {"event": "end", "outcome": "ok", "rows": 0,
-                     "short_circuit": True}
-                ),
-            )
-            await self._end_chunks(writer)
-        else:
+        if not spec.stream:
+            empty = ScatterResult((), 0, time.perf_counter() - started)
             await self._respond_json(
-                writer, 200, body, keep_alive=keep_alive
+                writer, 200, result_body(empty, request_id, True),
+                keep_alive=keep_alive,
             )
+            return 200, 0
+        writer.write(_head(200, NDJSON_CONTENT_TYPE, chunked=True))
+        for event in (
+            {"event": "start", "request_id": request_id, "shards": 0},
+            {"event": "end", "outcome": "ok", "rows": 0},
+        ):
+            await self._chunk(
+                writer, ndjson_line({**event, "short_circuit": True})
+            )
+        await self._end_chunks(writer)
         return 200, 0
+
+    @staticmethod
+    async def _each_shard(stream, emit=None) -> None:
+        """Await *stream*'s per-shard futures on the loop and collect
+        them, passing each ``(shard, rows)`` to *emit* as it completes
+        (rows None: the shard failed in ``partial`` mode).  With *emit*
+        the shard workers wake the loop once per shard; without it,
+        once per query, when ``stream.wake_when`` is met.  Raises the
+        deadline miss, or a shard failure in fail-fast mode."""
+        loop = asyncio.get_running_loop()
+        woken = asyncio.Queue()
+        fail_fast = stream.wake_when == asyncio.FIRST_EXCEPTION
+        # next() on a count is atomic: the worker that draws 0 is the
+        # last to finish, with no lock.
+        left = itertools.count(len(stream.futures) - 1, -1)
+
+        def on_done(future):  # on the worker that finished *future*
+            last = next(left) == 0
+            failed = fail_fast and (future.cancelled() or future.exception())
+            if (emit is not None or last or failed) and not loop.is_closed():
+                loop.call_soon_threadsafe(woken.put_nowait, future)
+
+        for future in stream.futures:
+            future.add_done_callback(on_done)
+        for _ in range(len(stream.futures) if emit is not None else 1):
+            try:
+                future = await asyncio.wait_for(
+                    woken.get(), stream.deadline_remaining()
+                )
+            except asyncio.TimeoutError:
+                raise stream.expire() from None
+            if emit is not None:
+                await emit(*stream.collect(future))
+        if emit is None:
+            for future in stream.futures:
+                if future.done():  # fail-fast raises at the failure
+                    stream.collect(future)
 
     async def _materialized_query(
         self, writer, spec, targets, ctx, request_id, keep_alive
     ):
-        """Dispatch the classic materialized scatter to the executor's
-        thread world; the loop only awaits the handoff future."""
-        loop = asyncio.get_running_loop()
-
-        def run():
-            with self.tracer.adopt(ctx):
-                return self.executor.query(
-                    spec.xpath,
-                    targets,
-                    deadline=spec.deadline,
-                    read_from=spec.read_from,
-                    ctx=ctx,
-                )
-
-        result = await loop.run_in_executor(self._dispatch, run)
+        """A collected stream: the loop awaits the shard futures (one
+        hop, loop → shard workers), then answers in one JSON body."""
+        stream = self.executor.stream(
+            spec.xpath, targets, spec.deadline, spec.read_from, ctx=ctx
+        )
+        try:
+            await self._each_shard(stream)
+            result = stream.finish()
+        except BaseException as error:
+            # finish() releases the admission slot on every exit path.
+            stream.finish(error)
+            raise
         status = 206 if result.partial else 200
         await self._respond_json(
             writer,
@@ -685,72 +878,41 @@ class Gateway:
         completes, a terminal ``end`` (or ``error``) event as the
         in-band status line."""
         stream = self.executor.stream(
-            spec.xpath,
-            targets,
-            deadline=spec.deadline,
-            read_from=spec.read_from,
-            ctx=ctx,
+            spec.xpath, targets, spec.deadline, spec.read_from, ctx=ctx
         )
         # The stream owns an admission slot from here on: every write —
         # including the head and the start event, where a client hangup
         # raises — must sit under the try so finish() releases it.
         first_byte = None
         rows_sent = 0
+
+        async def emit(shard, rows):
+            nonlocal rows_sent
+            if rows is None:
+                message = dict(stream.failures()).get(shard, "shard failed")
+                event = {"event": "shard_error", "shard": shard,
+                         "message": message}
+            else:
+                rows_sent += len(rows)
+                event = {"event": "rows", "shard": shard,
+                         "rows": [list(row) for row in rows]}
+            await self._chunk(writer, ndjson_line(event))
+
         try:
-            writer.write(
-                self._head(200, NDJSON_CONTENT_TYPE, chunked=True)
-            )
+            writer.write(_head(200, NDJSON_CONTENT_TYPE, chunked=True))
             await self._chunk(
                 writer,
                 ndjson_line(
                     {
                         "event": "start",
-                        "request_id": stream.request_id,
+                        "request_id": request_id,
                         "shards": len(targets),
                         "xpath": spec.xpath,
                     }
                 ),
             )
             first_byte = time.perf_counter()
-            pending = {}
-            for future in stream.futures:
-                wrapped = asyncio.wrap_future(future)
-                # Consume late results/exceptions so abandoned shard
-                # tasks never log "exception was never retrieved".
-                wrapped.add_done_callback(
-                    lambda f: f.cancelled() or f.exception()
-                )
-                pending[wrapped] = future
-            while pending:
-                done, _ = await asyncio.wait(
-                    pending,
-                    timeout=stream.deadline_remaining(),
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    raise stream.expire()
-                for wrapped in done:
-                    shard, rows = stream.collect(pending.pop(wrapped))
-                    if rows is None:
-                        message = dict(stream.failures()).get(
-                            shard, "shard failed"
-                        )
-                        await self._chunk(
-                            writer,
-                            ndjson_line(
-                                {"event": "shard_error", "shard": shard,
-                                 "message": message}
-                            ),
-                        )
-                        continue
-                    rows_sent += len(rows)
-                    await self._chunk(
-                        writer,
-                        ndjson_line(
-                            {"event": "rows", "shard": shard,
-                             "rows": [list(row) for row in rows]}
-                        ),
-                    )
+            await self._each_shard(stream, emit)
             result = stream.finish()
             end_event = {
                 "event": "end",
@@ -787,33 +949,6 @@ class Gateway:
 
     # -- response plumbing --------------------------------------------------------
 
-    @staticmethod
-    def _head(
-        status: int,
-        content_type: str,
-        length: int | None = None,
-        chunked: bool = False,
-        keep_alive: bool = False,
-        extra_headers: dict | None = None,
-    ) -> bytes:
-        reason = _REASONS.get(status, "Unknown")
-        lines = [
-            f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-        ]
-        if chunked:
-            lines.append("Transfer-Encoding: chunked")
-            lines.append("Connection: close")
-        else:
-            lines.append(f"Content-Length: {length or 0}")
-            lines.append(
-                "Connection: keep-alive" if keep_alive
-                else "Connection: close"
-            )
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
     async def _respond_json(
         self,
         writer,
@@ -823,17 +958,10 @@ class Gateway:
         extra_headers: dict | None = None,
     ) -> None:
         body = ndjson_line(obj)  # compact JSON + trailing newline
-        writer.write(
-            self._head(
-                status,
-                JSON_CONTENT_TYPE,
-                length=len(body),
-                keep_alive=keep_alive,
-                extra_headers=extra_headers,
-            )
+        await _send(
+            writer, status, body, keep_alive=keep_alive,
+            extra_headers=extra_headers,
         )
-        writer.write(body)
-        await writer.drain()
         self.metrics.counter("gateway.bytes_sent").inc(len(body))
 
     async def _chunk(self, writer, payload: bytes) -> None:

@@ -198,12 +198,12 @@ class ShardedStore:
         self._rr_counter = len(shard_map)
         if self.executor.shard_state is None:
             self.executor.shard_state = self.shard_state
-        #: The embedded ops endpoint, once :meth:`serve_ops` starts it.
+        #: The one HTTP server, once :meth:`http_server` starts it; the
+        #: ops endpoint and the query gateway are listeners of it.
+        self._http = None
         self._ops_server: OpsServer | None = None
-        #: The HTTP/JSON query gateway, once :meth:`serve_gateway`
-        #: starts it.
         self._gateway = None
-        #: True when :meth:`serve_ops` auto-created the request log (we
+        #: True when :meth:`http_server` auto-created the request log (we
         #: close it); caller-provided logs stay the caller's to close.
         self._owned_request_log = False
 
@@ -375,7 +375,7 @@ class ShardedStore:
     def _observed_update(self, op: str, **fields):
         """Outcome accounting + one wide event around a write operation.
 
-        The write-side twin of the executor's ``_finish_query``: every
+        The write-side twin of ``ScatterStream._account``: every
         exit (commit or raise) lands in ``serve.update_seconds`` with an
         outcome dimension, and — when a request log is attached — emits
         one ``update`` event with the operation, target, and error.
@@ -1291,6 +1291,22 @@ class ShardedStore:
             },
         }
 
+    def http_server(self):
+        """The store's one asyncio HTTP server
+        (:class:`~repro.serve.gateway.HttpServer`), started on first
+        use: :meth:`serve_ops` and :meth:`serve_gateway` are listeners
+        of it, sharing its loop thread.  Attaches an in-memory request
+        log when the store has none.  Stopped by :meth:`close`."""
+        if self._http is None:
+            from repro.serve.gateway import HttpServer
+
+            if self.executor.request_log is None:
+                # Served endpoints get a wide-event sink (we close it).
+                self.executor.request_log = RequestLog(capacity=1024)
+                self._owned_request_log = True
+            self._http = HttpServer(self)
+        return self._http
+
     def serve_ops(
         self,
         host: str = "127.0.0.1",
@@ -1300,25 +1316,24 @@ class ShardedStore:
         """Start (or return) the embedded ops endpoint for this store.
 
         Serves ``/metrics`` (Prometheus text), ``/snapshot`` (JSON), and
-        ``/healthz`` on a daemon thread; ``python -m repro.obs.top --url
-        <server.url>`` renders it live.  When the store has no request
-        log yet, an in-memory one is attached so ``/snapshot`` can show
-        recent requests.  Stopped by :meth:`close` (or ``.stop()``).
+        ``/healthz`` on a listener of :meth:`http_server`, on a port of
+        its own; ``python -m repro.obs.top --url <server.url>`` renders
+        it live.  When the store has no request log yet, an in-memory
+        one is attached so ``/snapshot`` can show recent requests.
+        Stopped by :meth:`close` (or ``.stop()``).
         """
-        if self._ops_server is not None:
-            return self._ops_server
-        if self.executor.request_log is None:
-            self.executor.request_log = RequestLog(capacity=1024)
-            self._owned_request_log = True
-        self._ops_server = OpsServer(
-            self.metrics,
-            health_fn=self.health,
-            snapshot_fn=self._ops_state,
-            request_log=self.executor.request_log,
-            host=host,
-            port=port,
-            windows=windows,
-        )
+        if self._ops_server is None:
+            self._ops_server = self.http_server().mount_ops(
+                OpsServer(
+                    self.metrics,
+                    health_fn=self.health,
+                    snapshot_fn=self._ops_state,
+                    request_log=self.executor.request_log,
+                    windows=windows,
+                ),
+                host=host,
+                port=port,
+            )
         return self._ops_server
 
     def serve_gateway(
@@ -1332,32 +1347,26 @@ class ShardedStore:
         The network front door (:class:`~repro.serve.gateway.Gateway`):
         ``/query`` (materialized JSON or streamed NDJSON), ``/healthz``,
         ``/stats``, with per-client admission quotas layered on the
-        executor's global gate.  Extra *kwargs* (``quota_rate``,
-        ``default_deadline``, ``analyzer``, ...) pass through to the
-        gateway constructor.  When the store has no request log yet, an
-        in-memory one is attached so gateway wide events have a sink.
-        Stopped by :meth:`close` (or ``.stop()``).
+        executor's global gate, on a listener of :meth:`http_server`.
+        Extra *kwargs* (``quota_rate``, ``default_deadline``,
+        ``analyzer``, ...) pass through to the gateway constructor.
+        When the store has no request log yet, an in-memory one is
+        attached so gateway wide events have a sink.  Stopped by
+        :meth:`close` (or ``.stop()``).
         """
-        if self._gateway is not None:
-            return self._gateway
-        from repro.serve.gateway import Gateway
+        if self._gateway is None:
+            from repro.serve.gateway import Gateway
 
-        if self.executor.request_log is None:
-            self.executor.request_log = RequestLog(capacity=1024)
-            self._owned_request_log = True
-        self._gateway = Gateway(self, host=host, port=port, **kwargs)
-        self._gateway.start()
+            self._gateway = Gateway(self, host=host, port=port, **kwargs)
+            self._gateway.start()
         return self._gateway
 
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        if self._gateway is not None:
-            self._gateway.stop()
-            self._gateway = None
-        if self._ops_server is not None:
-            self._ops_server.stop()
-            self._ops_server = None
+        if self._http is not None:
+            self._http.stop()
+            self._http = self._gateway = self._ops_server = None
         if self._owned_request_log and self.executor.request_log is not None:
             self.executor.request_log.close()
         self.executor.close()
