@@ -82,11 +82,10 @@ from __future__ import annotations
 
 import gc
 import os
-import queue as queue_module
 import threading
 import time
 import zlib
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
 
 from repro import updates as updates_module
@@ -473,48 +472,8 @@ class ShardedStore:
         documents: list[Document],
         names: list[str] | None = None,
     ) -> list[int]:
-        """Store many documents, bulk-loading per shard.
-
-        Documents are partitioned by placement, each shard's batch goes
-        through that writer's bulk session (one transaction, one
-        ANALYZE), then the shard map is registered in input order so
-        global ids stay store-ordered.
-        """
-        if names is not None and len(names) != len(documents):
-            raise StorageError(
-                f"{len(documents)} document(s) but {len(names)} name(s)"
-            )
-        with self._map_lock:
-            placed: list[tuple[int, str]] = []
-            batches: dict[int, list[tuple[int, Document, str]]] = {}
-            for position, document in enumerate(documents):
-                name = (
-                    names[position] if names is not None
-                    else f"document-{position}"
-                )
-                shard = self.place(name)
-                self._rr_counter += 1
-                placed.append((shard, name))
-                batches.setdefault(shard, []).append(
-                    (position, document, name)
-                )
-        locals_by_position: dict[int, int] = {}
-        for shard, batch in batches.items():
-            with self._shard_locks[shard]:
-                with self.writers[shard].bulk_session() as session:
-                    for position, document, name in batch:
-                        result = session.store(document, name)
-                        locals_by_position[position] = result.doc_id
-                self._post_write(shard)
-        with self._map_lock:
-            doc_ids = [
-                self.shard_map.register(
-                    shard, locals_by_position[position], name
-                )
-                for position, (shard, name) in enumerate(placed)
-            ]
-        self.metrics.counter("serve.documents_stored").inc(len(documents))
-        return doc_ids
+        """Store many parsed documents: :meth:`store_corpus` over them."""
+        return self.store_corpus(documents, names)
 
     def _corpus_events(self, source, keep_whitespace: bool):
         """Event stream of one corpus payload: a parsed
@@ -531,25 +490,27 @@ class ShardedStore:
         self,
         sources,
         names: list[str] | None = None,
-        queue_depth: int = 8,
         keep_whitespace: bool = True,
     ) -> list[int]:
-        """Stream a corpus into all shards concurrently.
+        """Stream a corpus into the shards, one payload at a time.
 
         *sources* is any iterable of payloads — XML text, open file
         objects, filesystem paths, or already-parsed
         :class:`~repro.xml.dom.Document` objects; it is consumed
-        lazily, so a generator over a multi-gigabyte corpus never has
-        more than ``shards × queue_depth`` payloads in flight.  Each
-        shard gets one loader thread running the streaming shredder
-        inside that writer's bulk session (one transaction, one
-        ANALYZE), so N shards parse and insert concurrently while the
-        bounded per-shard queues push back on the producer.
+        lazily, one payload at a time.  Each payload is shredded on the
+        calling thread by the streaming shredder, into the bulk session
+        of its shard (one transaction, one ANALYZE, one deferred index
+        rebuild per shard that receives a payload).
 
-        Atomicity matches :meth:`store_many`: shard-map entries
-        register only after **every** shard committed, so any failure
-        (including an injected crash) leaves zero registered documents
-        and only orphans that :meth:`recover` sweeps — never a map
+        The load holds every shard's writer lock, taken in ascending
+        order as :meth:`recover` does: writes to any shard wait until
+        the load ends; reads continue.
+
+        Any error before the commits — a malformed payload, a *names*
+        list shorter or longer than the corpus — rolls back every
+        session, so no shard keeps a row.  Shard-map entries register
+        only after every session committed: a crash during the commits
+        leaves only orphans that :meth:`recover` sweeps, never a map
         entry pointing at missing rows.
 
         Returns global doc ids in input order.
@@ -559,125 +520,83 @@ class ShardedStore:
             raise StorageError(
                 f"{len(sources)} document(s) but {len(names)} name(s)"
             )
-        sentinel = object()
-        queues: dict[int, queue_module.Queue] = {}
-        threads: dict[int, threading.Thread] = {}
-        errors: dict[int, BaseException] = {}
-        locals_by_position: dict[int, int] = {}
-        placed: list[tuple[int, str]] = []
-        captured = self.tracer.capture()
-        depth_gauge = self.metrics.gauge("ingest.queue_depth")
+        with self._observed_update("load"):
+            for lock in self._shard_locks:
+                lock.acquire()
+            try:
+                doc_ids = self._store_corpus_locked(
+                    sources, names, keep_whitespace
+                )
+            finally:
+                for lock in reversed(self._shard_locks):
+                    lock.release()
+            self.metrics.counter("serve.documents_stored").inc(len(doc_ids))
+            return doc_ids
+
+    def _store_corpus_locked(
+        self, sources, names: list[str] | None, keep_whitespace: bool
+    ) -> list[int]:
         docs_counter = self.metrics.counter("ingest.documents")
         rows_counter = self.metrics.counter("ingest.rows")
-
-        def worker(shard: int) -> None:
-            shard_queue = queues[shard]
-            consumed_sentinel = False
-            load_seconds = self.metrics.histogram(
-                f"ingest.shard{shard}.load_seconds"
-            )
-            try:
-                with self.tracer.adopt(captured), \
-                        self.tracer.span("ingest_shard") as span:
-                    loaded = 0
-                    with self._shard_locks[shard]:
-                        with self.writers[shard].bulk_session() as session:
-                            while True:
-                                # Waiting for work under the shard lock
-                                # is the design: the lock *is* the
-                                # single-writer serialization for the
-                                # whole bulk session, and the bounded
-                                # queue provides the backpressure.
-                                # lint: allow(C002)
-                                item = shard_queue.get()
-                                if item is sentinel:
-                                    consumed_sentinel = True
-                                    break
-                                depth_gauge.add(-1)
-                                position, name, source = item
-                                started = time.perf_counter()
-                                result = session.store_stream(
-                                    self._corpus_events(
-                                        source, keep_whitespace
-                                    ),
-                                    name,
-                                )
-                                load_seconds.observe(
-                                    time.perf_counter() - started
-                                )
-                                locals_by_position[position] = result.doc_id
-                                loaded += 1
-                                docs_counter.inc()
-                                rows_counter.inc(
-                                    sum(result.row_counts.values())
-                                )
-                        self._post_write(shard)
-                    if span:
-                        span.set(shard=shard, documents=loaded)
-            except BaseException as error:  # noqa: BLE001 — reported to caller
-                errors[shard] = error
-                # Keep the producer from blocking on a full queue: eat
-                # the backlog (and the sentinel, unless already taken).
-                while not consumed_sentinel:
-                    if shard_queue.get() is sentinel:
-                        consumed_sentinel = True
-                    else:
-                        depth_gauge.add(-1)
-
-        with self._observed_update("load", queue_depth=queue_depth):
-            # Bulk-load GC stance: the streaming shredder allocates
-            # millions of short-lived, cycle-free tuples per document,
-            # and every generational sweep stops all loader threads.
-            # Collect once up front, switch the cycle detector off for
-            # the load, and restore it afterwards.
-            gc_was_enabled = gc.isenabled()
-            if gc_was_enabled:
-                gc.collect()
-                gc.disable()
-            try:
+        sessions = {}
+        placed: list[tuple[int, int, str]] = []
+        # Bulk-load GC stance: the streaming shredder allocates millions
+        # of short-lived, cycle-free tuples per document, and every
+        # generational sweep walks them all.  Collect once up front,
+        # switch the cycle detector off for the load, and restore it
+        # afterwards.
+        gc_was_enabled = gc.isenabled()
+        if gc_was_enabled:
+            gc.collect()
+            gc.disable()
+        try:
+            # Leaving the stack commits every session; an exception
+            # raised inside it rolls every session back.
+            with ExitStack() as stack:
                 for position, source in enumerate(sources):
-                    name = (
-                        names[position] if names is not None
-                        else f"document-{position}"
-                    )
+                    if names is None:
+                        name = f"document-{position}"
+                    elif position < len(names):
+                        name = names[position]
+                    else:
+                        raise StorageError(
+                            f"more documents than the {len(names)} "
+                            "name(s) given"
+                        )
                     with self._map_lock:
                         shard = self.place(name)
                         self._rr_counter += 1
-                    placed.append((shard, name))
-                    shard_queue = queues.get(shard)
-                    if shard_queue is None:
-                        shard_queue = queue_module.Queue(maxsize=queue_depth)
-                        queues[shard] = shard_queue
-                        thread = threading.Thread(
-                            target=worker,
-                            args=(shard,),
-                            name=f"ingest-shard-{shard}",
-                            daemon=True,
+                    session = sessions.get(shard)
+                    if session is None:
+                        session = stack.enter_context(
+                            self.writers[shard].bulk_session()
                         )
-                        threads[shard] = thread
-                        thread.start()
-                    depth_gauge.add(1)
-                    shard_queue.put((position, name, source))
-                    if errors:
-                        break  # a shard already failed; stop feeding
-            finally:
-                for shard_queue in queues.values():
-                    shard_queue.put(sentinel)
-                for thread in threads.values():
-                    thread.join()
-                if gc_was_enabled:
-                    gc.enable()
-            if errors:
-                raise errors[min(errors)]
-            with self._map_lock:
-                doc_ids = [
-                    self.shard_map.register(
-                        shard, locals_by_position[position], name
+                        sessions[shard] = session
+                    started = time.perf_counter()
+                    result = session.store_stream(
+                        self._corpus_events(source, keep_whitespace), name
                     )
-                    for position, (shard, name) in enumerate(placed)
-                ]
-            self.metrics.counter("serve.documents_stored").inc(len(doc_ids))
-            return doc_ids
+                    self.metrics.histogram(
+                        f"ingest.shard{shard}.load_seconds"
+                    ).observe(time.perf_counter() - started)
+                    docs_counter.inc()
+                    rows_counter.inc(result.total_rows)
+                    placed.append((shard, result.doc_id, name))
+                if names is not None and len(placed) != len(names):
+                    raise StorageError(
+                        f"{len(placed)} document(s) but {len(names)} "
+                        "name(s)"
+                    )
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        for shard in sorted(sessions):
+            self._post_write(shard)
+        with self._map_lock:
+            return [
+                self.shard_map.register(shard, local, name)
+                for shard, local, name in placed
+            ]
 
     def delete(self, doc_id: int) -> None:
         """Remove a document from its shard and the shard map.

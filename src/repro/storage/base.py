@@ -31,10 +31,10 @@ from repro.storage.numbering import (
     NodeRecord,
     build_document,
     build_subtree,
-    number_document,
     shred_into,
 )
 from repro.xml.dom import Document, Node
+from repro.xml.events import stream_events
 
 
 #: Batched-fetch statements bind a handful of parameters per subtree
@@ -67,15 +67,16 @@ STREAM_BATCH = 2048
 
 
 class StreamInserter:
-    """Per-scheme sink for :func:`~repro.storage.numbering.shred_stream`.
+    """Per-scheme row sink for :func:`~repro.storage.numbering.shred_into`.
 
-    ``store_stream`` drives one of these per document: :meth:`enter` at
-    every element start tag (pre order — the hook order-sensitive side
-    tables need), :meth:`add` at every node completion, :meth:`finish`
-    once the stream is exhausted.  True-streaming schemes buffer at most
-    :data:`STREAM_BATCH` rows; schemes whose row layout needs the whole
-    document (universal's leaf chains, inlining's DTD walk) use the
-    :class:`BufferedStreamInserter` fallback instead.
+    ``store_stream`` drives one of these per document (``store`` of a
+    parsed document replays it as events): :meth:`enter` at every
+    element start tag (pre order — the hook order-sensitive side tables
+    need), :meth:`add` at every node completion, :meth:`finish` once
+    the stream is exhausted.  Interval, Dewey, edge, binary and XRel
+    write rows as they arrive and buffer at most :data:`STREAM_BATCH`
+    per table; universal (leaf chains) and inlining (DTD walk) need the
+    whole document and use the :class:`BufferedStreamInserter` instead.
     """
 
     #: True for inserters whose :meth:`enter` does real work (binary's
@@ -101,8 +102,8 @@ class StreamInserter:
 
 
 class BufferedStreamInserter(StreamInserter):
-    """Fallback inserter: collect every record, then run the scheme's
-    ordinary :meth:`MappingScheme._insert_records`.
+    """Whole-document inserter: collect every record, then run the
+    scheme's :meth:`MappingScheme._insert_records`.
 
     Memory is O(document) — the price of schemes that genuinely need
     global context.  ``needs_document`` additionally rebuilds the DOM
@@ -187,62 +188,20 @@ class MappingScheme(abc.ABC):
     # -- storing ----------------------------------------------------------------
 
     def store(self, document: Document, name: str = "document") -> ShredResult:
-        """Shred *document* into rows; returns ids and row accounting."""
-        tracer = self.db.tracer
-        with tracer.span("store") as span:
-            if span:
-                span.set(scheme=self.name, document=name)
-            with tracer.span("shred") as shred_span:
-                records = number_document(document)
-                if shred_span:
-                    shred_span.set(nodes=len(records))
-            if not records:
-                raise StorageError("refusing to store an empty document")
-            root_tag = next(
-                (
-                    r.name
-                    for r in records
-                    if r.is_element and r.parent_pre == 0
-                ),
-                "",
-            )
-            # The catalog row and the shredded rows commit (or roll
-            # back) together: a fault mid-shred must never leave a
-            # catalog entry pointing at a partial document.
-            with tracer.span("insert"):
-                with self.db.transaction():
-                    doc_id = self.catalog.register(
-                        name, self.name, root_tag or "", len(records)
-                    )
-                    # Row accounting comes from the insert side itself —
-                    # no per-table COUNT(*) rescans after every store.
-                    row_counts = self._insert_records(
-                        doc_id, records, document
-                    )
-            if self.translation_depends_on_data:
-                self.invalidate_plans()
-            # Refresh planner statistics: several translations (XRel's
-            # path-table-driven plans in particular) rely on the
-            # optimizer knowing the relative table sizes.  A bulk-load
-            # session defers this to its close.
-            if not self._defer_analyze:
-                with tracer.span("analyze"):
-                    self.db.analyze()
-            if span:
-                span.set(doc_id=doc_id, rows=sum(row_counts.values()))
-                tracer.metrics.counter("store.documents").inc()
-                tracer.metrics.counter("store.nodes_shredded").inc(
-                    len(records)
-                )
-            return ShredResult(doc_id, len(records), row_counts)
+        """Shred a parsed *document*: its event replay goes through
+        :meth:`store_stream`, the one shredding path."""
+        return self.store_stream(stream_events(document), name)
 
-    @abc.abstractmethod
     def _insert_records(
         self, doc_id: int, records: list[NodeRecord], document: Document
     ) -> dict[str, int]:
-        """Insert the rows for one document (inside a transaction) and
-        return per-table inserted-row counts — the accounting that feeds
-        :class:`ShredResult` without rescanning any table."""
+        """Insert one whole document's rows (pre-order *records*, plus
+        the rebuilt *document* when the inserter asked for it) and
+        return per-table inserted-row counts.  Only schemes served by
+        :class:`BufferedStreamInserter` implement this."""
+        raise NotImplementedError(
+            f"{self.name} scheme has no whole-document insert"
+        )
 
     def stream_inserter(self, doc_id: int) -> StreamInserter:
         """The streaming row sink for one document.
@@ -264,14 +223,15 @@ class MappingScheme(abc.ABC):
         file, in which case parsing, numbering and insertion all
         interleave and (for schemes with a streaming inserter) peak
         memory is O(depth) + one row batch, independent of document
-        size.  Same atomicity as :meth:`store`: the catalog row
-        registers first and commits or rolls back with the node rows.
+        size.  The catalog row registers first and commits or rolls back
+        with the node rows: a fault mid-shred never leaves a catalog
+        entry pointing at a partial document.
         """
         tracer = self.db.tracer
         with tracer.span("store") as span:
             if span:
-                span.set(scheme=self.name, document=name, streaming=True)
-            with tracer.span("stream_shred"):
+                span.set(scheme=self.name, document=name)
+            with tracer.span("shred"):
                 with self.db.transaction():
                     doc_id = self.catalog.register(name, self.name, "", 0)
                     inserter = self.stream_inserter(doc_id)
@@ -288,6 +248,10 @@ class MappingScheme(abc.ABC):
                     self.catalog.finalize(doc_id, root_tag, node_count)
             if self.translation_depends_on_data:
                 self.invalidate_plans()
+            # Refresh planner statistics: several translations (XRel's
+            # path-table-driven plans in particular) rely on the
+            # optimizer knowing the relative table sizes.  A bulk-load
+            # session defers this to its close.
             if not self._defer_analyze:
                 with tracer.span("analyze"):
                     self.db.analyze()
@@ -600,18 +564,16 @@ class BulkSession:
 
     The load is atomic: an exception inside the ``with`` block rolls back
     *every* document of the session (and the catalog rows with them).
-    Row accounting comes from the insert side (see
-    :meth:`MappingScheme._insert_records`), so closing a session never
-    rescans any table.
+    Row accounting comes from the insert side (each
+    :meth:`StreamInserter.finish` returns per-table counts), so closing
+    a session never rescans any table.
 
     Secondary indexes are dropped for the session's duration and rebuilt
     in one pass at close — incremental b-tree maintenance per inserted
     row is the dominant cost of a bulk load, and a single post-load
-    ``CREATE INDEX`` scan is far cheaper (it is also one long C call,
-    so concurrent per-shard sessions overlap instead of trading the
-    interpreter lock row by row).  Both the drop and the rebuild happen
-    inside the session transaction, so a crash or error at any point
-    rolls back to the fully-indexed pre-session state.
+    ``CREATE INDEX`` scan is far cheaper.  Both the drop and the
+    rebuild happen inside the session transaction, so a crash or error
+    at any point rolls back to the fully-indexed pre-session state.
     """
 
     def __init__(self, scheme: MappingScheme) -> None:
@@ -646,19 +608,13 @@ class BulkSession:
     def store(
         self, document: Document, name: str = "document"
     ) -> ShredResult:
-        """Store one document inside the session's transaction."""
-        if self._txn is None:
-            raise StorageError(
-                "bulk session is not active (use it as a context manager)"
-            )
-        result = self.scheme.store(document, name)
-        self.results.append(result)
-        return result
+        """Store one parsed document inside the session's transaction."""
+        return self.store_stream(stream_events(document), name)
 
     def store_stream(self, events, name: str = "document") -> ShredResult:
         """Stream-shred one document inside the session's transaction
-        (the per-shard corpus loader's write path: the store's inner
-        transaction nests as a savepoint, ANALYZE stays deferred)."""
+        (the store's inner transaction nests as a savepoint, ANALYZE
+        stays deferred)."""
         if self._txn is None:
             raise StorageError(
                 "bulk session is not active (use it as a context manager)"

@@ -46,12 +46,12 @@ class TestSpans:
         assert tracer.max_depth() >= 3
         # The pipeline phases are all present...
         names = {span.name for span in tracer.finished}
-        assert {"parse", "store", "shred", "insert", "analyze",
+        assert {"parse", "store", "shred", "analyze",
                 "query", "translate", "execute",
                 "sql.statement"} <= names
-        # ...and SQL statements nest under the insert and execute phases.
-        insert = tracer.spans_named("insert")[0]
-        assert any(c.name == "sql.statement" for c in insert.children)
+        # ...and SQL statements nest under the shred and execute phases.
+        shred = tracer.spans_named("shred")[0]
+        assert any(c.name == "sql.statement" for c in shred.children)
         execute = tracer.spans_named("execute")[0]
         assert any(c.name == "sql.statement" for c in execute.children)
 
@@ -95,7 +95,7 @@ class TestSpans:
     def test_span_tree_renders_every_phase(self):
         tracer = traced_session()
         tree = format_span_tree(tracer)
-        for name in ("store", "insert", "query", "sql.statement"):
+        for name in ("store", "shred", "query", "sql.statement"):
             assert name in tree
         assert "ms" in tree
 

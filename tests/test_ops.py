@@ -21,6 +21,7 @@ from repro.obs import (
 )
 from repro.obs.top import render_snapshot
 from repro.serve import ShardedStore
+from repro.xml import parse_document
 
 BOOK = "<bib><book><title>t{i}</title><year>200{i}</year></book></bib>"
 
@@ -281,6 +282,26 @@ class TestWideEventLog:
             # plan_cached reflects the cache at event time (the cold
             # query populated it), and the warm query reused it.
             assert warm["per_shard"][0]["plan_cached"] is True
+
+    def test_store_many_emits_one_load_event(self, tmp_path):
+        log = RequestLog(capacity=64)
+        with ShardedStore.open(
+            str(tmp_path / "store"),
+            scheme="interval",
+            shards=2,
+            placement="round_robin",
+            request_log=log,
+        ) as store:
+            documents = [
+                parse_document(BOOK.format(i=i)) for i in range(3)
+            ]
+            store.store_many(documents, names=["a", "b", "c"])
+            updates = [e for e in log.tail() if e["event"] == "update"]
+            assert [e["op"] for e in updates] == ["load"]
+            assert updates[0]["outcome"] == "ok"
+            assert store.metrics.counter_value(
+                "serve.update.outcome.ok"
+            ) == 1
 
     def test_failed_queries_emit_events_and_outcome_metrics(
         self, tmp_path

@@ -1,15 +1,16 @@
-"""PR 8 — the streaming ingest pipeline.
+"""The streaming ingest pipeline.
 
-Three layers of differential evidence, each against the DOM path as
-the oracle:
+Three layers of differential evidence, each against a DOM-side oracle:
 
 * the pull parser's event stream is *byte-identical* to
   ``stream_events(parse_document(text))`` — including every syntax
   error's message, line and column — at several read-chunk sizes;
-* the fused shredder (:func:`shred_into`) emits exactly what the
-  reference generator (:func:`shred_stream`) yields;
-* storing via the stream produces byte-identical tables, catalog rows
-  and reconstruction output across **all seven schemes**.
+* the shredder (:func:`shred_into`) numbers nodes exactly as the DOM
+  reference walk (:func:`number_document` + :func:`element_content`)
+  does, over both event sources;
+* storing parsed text and a parsed document produces byte-identical
+  tables, catalog rows and reconstruction output across **all seven
+  schemes**.
 
 Plus the bulk machinery around them: file/corpus ingestion, deferred
 index rebuilds, and the ``ingest.*`` telemetry.
@@ -20,7 +21,8 @@ import pytest
 from repro.core.store import XmlRelStore
 from repro.errors import StorageError, XmlRelError, XmlSyntaxError
 from repro.serve import ShardedStore
-from repro.storage.numbering import shred_into, shred_stream
+from repro.storage.interval import element_content
+from repro.storage.numbering import number_document, shred_into
 from repro.workloads import (
     auction_dtd,
     dblp_dtd,
@@ -131,21 +133,37 @@ def test_text_source_and_path_source(tmp_path):
 # -- shredder parity ---------------------------------------------------------
 
 
-def test_shred_into_matches_shred_stream():
+@pytest.mark.parametrize("source", ["dom", "text"])
+def test_shred_into_matches_number_document(source):
+    """The one shredder against the DOM reference walk: the same
+    records, the same text-only content cache, and element opens in
+    pre order — from a parsed document's replay and from the pull
+    parser alike."""
     text = serialize(generate_auction(0.02, seed=9))
-    reference = list(shred_stream(parse_events(text)))
-    collected = []
-    count, root = shred_into(
-        parse_events(text),
-        lambda record, content: collected.append(
-            ("node", record, content)
-        ),
-        lambda pre, name, parent: collected.append(
-            ("enter", pre, name, parent)
-        ),
+    document = parse_document(text, ParseOptions(keep_whitespace=True))
+    expected = number_document(document)
+    contents = element_content(expected)
+    events = (
+        stream_events(document) if source == "dom" else parse_events(text)
     )
-    assert collected == reference
-    assert count == sum(1 for item in reference if item[0] == "node")
+    records, enters = [], []
+    count, root = shred_into(
+        events,
+        lambda record, content: records.append((record, content)),
+        lambda pre, name, parent: enters.append((pre, name, parent)),
+    )
+    records.sort(key=lambda item: item[0].pre)
+    assert [record for record, _ in records] == expected
+    assert [content for _, content in records] == [
+        contents.get(record.pre) if record.is_element else None
+        for record in expected
+    ]
+    assert enters == [
+        (record.pre, record.name, record.parent_pre)
+        for record in expected
+        if record.is_element
+    ]
+    assert count == len(expected)
     assert root == "site"
 
 
@@ -269,7 +287,6 @@ def test_store_corpus_parallel_load(tmp_path):
         snapshot = store.metrics.snapshot()
         assert snapshot["counters"]["ingest.documents"] == len(texts)
         assert snapshot["counters"]["ingest.rows"] > 0
-        assert snapshot["gauges"]["ingest.queue_depth"]["value"] == 0
         shard_histograms = [
             name
             for name in snapshot["histograms"]
@@ -303,6 +320,30 @@ def test_store_corpus_name_count_mismatch(tmp_path):
     ) as store:
         with pytest.raises(StorageError, match="name"):
             store.store_corpus(["<a/>", "<b/>"], names=["only-one"])
+
+
+@pytest.mark.parametrize("case", ["short_names", "long_names", "malformed"])
+def test_store_corpus_failure_leaves_no_rows(tmp_path, case):
+    """A failed load rolls back every shard's session: no shard-map
+    entry and no orphan row on any shard — also for generator sources,
+    whose length is unknown until they run dry."""
+    good = [f"<a><b>{i}</b></a>" for i in range(3)]
+    if case == "short_names":
+        sources, names, error = good, ["n0", "n1"], StorageError
+    elif case == "long_names":
+        sources, names, error = good, ["n0", "n1", "n2", "n3"], StorageError
+    else:
+        sources = good + ["<broken><nope></broken>"]
+        names, error = None, XmlSyntaxError
+    with ShardedStore.open(
+        str(tmp_path), scheme="interval", shards=2,
+        placement="round_robin",
+    ) as store:
+        with pytest.raises(error):
+            store.store_corpus((text for text in sources), names=names)
+        assert store.documents() == []
+        for writer in store.writers:
+            assert writer.documents() == []
 
 
 def test_store_corpus_atomicity_on_bad_document(tmp_path):
